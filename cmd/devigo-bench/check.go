@@ -37,10 +37,11 @@ import (
 //	hybrid             zero-allocation dispatch certification, sweep
 //	                   bit-exactness at every engine x worker count,
 //	                   schema/counter sanity of the pool runtime
-//	hybrid-timing      pool dispatch no slower than fork-join; >= 2x
-//	                   native scaling at 4 workers and an autotuner
-//	                   worker choice > 1, both only when the generating
-//	                   host had >= 4 cores
+//	hybrid-timing      scheduler >= 0.85x the direct serial tile loop at
+//	                   1 worker; >= 2x that loop and >= 2x native scaling
+//	                   at 4 workers and an autotuner worker choice > 1,
+//	                   all three only when the generating host had >= 4
+//	                   cores
 //
 // The split autotune and fwiservice groups let CI retry the timing half
 // (noisy on a preempted shared runner) without ever retrying a
@@ -383,10 +384,10 @@ func checkFWIServiceFile(path string, hard, timing bool, add func(file, msg stri
 // engine's 1-worker baseline, the sweep covers all three engines at
 // workers {1,2,4,7}, and the 4-rank full-overlap run actually drove the
 // pool (dispatches > 0, measured sync cost > 0). The timing half gates
-// the dispatch-mechanism race (the persistent pool must not lose to
-// per-call fork-join at equal width, with a noise margin at w=1 where
-// both run inline) and — only when the generating host recorded >= 4
-// cores — native >= 2x scaling at 4 workers plus the joint autotuner
+// the scheduler against the direct serial tile loop over the same kernel
+// and box (at w=1 it may cost at most 15%) and — only when the generating
+// host recorded >= 4 cores — >= 2x for the scheduler at 4 workers over
+// that loop, native >= 2x scaling at 4 workers plus the joint autotuner
 // exploiting the workers axis.
 func checkHybridFile(path string, hard, timing bool, add func(file, msg string)) {
 	const name = "BENCH_hybrid.json"
@@ -434,9 +435,9 @@ func checkHybridFile(path string, hard, timing bool, add func(file, msg string))
 		dispatch := map[int]bool{}
 		for _, d := range r.Dispatch {
 			dispatch[d.Workers] = true
-			if d.PoolGptss <= 0 || d.ForkJoinGptss <= 0 {
-				add(name, fmt.Sprintf("dispatch[w=%d]: pool %v / forkjoin %v GPts/s, want both > 0",
-					d.Workers, d.PoolGptss, d.ForkJoinGptss))
+			if d.PoolGptss <= 0 || d.SerialGptss <= 0 {
+				add(name, fmt.Sprintf("dispatch[w=%d]: pool %v / serial %v GPts/s, want both > 0",
+					d.Workers, d.PoolGptss, d.SerialGptss))
 			}
 		}
 		for _, w := range []int{1, 4} {
@@ -453,12 +454,12 @@ func checkHybridFile(path string, hard, timing bool, add func(file, msg string))
 	}
 	if timing {
 		for _, d := range r.Dispatch {
-			if d.Workers == 1 && d.PoolOverForkJoin < 0.85 {
-				add(name, fmt.Sprintf("dispatch[w=1]: pool_over_forkjoin = %.3f, want >= 0.85 (both inline at w=1)", d.PoolOverForkJoin))
+			if d.Workers == 1 && d.PoolOverSerial < 0.85 {
+				add(name, fmt.Sprintf("dispatch[w=1]: pool_over_serial = %.3f, want >= 0.85 (scheduler overhead vs the direct serial tile loop)", d.PoolOverSerial))
 			}
-			if d.Workers == 4 && r.HostCores >= 4 && d.PoolOverForkJoin < 0.9 {
-				add(name, fmt.Sprintf("dispatch[w=4]: pool_over_forkjoin = %.3f on a %d-core host, want >= 0.9",
-					d.PoolOverForkJoin, r.HostCores))
+			if d.Workers == 4 && r.HostCores >= 4 && d.PoolOverSerial < 2 {
+				add(name, fmt.Sprintf("dispatch[w=4]: pool_over_serial = %.3f on a %d-core host, want >= 2",
+					d.PoolOverSerial, r.HostCores))
 			}
 		}
 		if r.HostCores >= 4 {

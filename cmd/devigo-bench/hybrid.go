@@ -3,14 +3,17 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
+	"time"
 
 	"devigo/internal/core"
 	"devigo/internal/grid"
 	"devigo/internal/halo"
 	"devigo/internal/mpi"
+	"devigo/internal/native"
 	"devigo/internal/obs"
 	"devigo/internal/propagators"
 	devruntime "devigo/internal/runtime"
@@ -29,20 +32,21 @@ type HybridSweepPoint struct {
 	BitExact         bool    `json:"bit_exact_vs_1worker"`
 }
 
-// HybridDispatchPoint compares the persistent pool against the legacy
-// per-call fork-join dispatch at one worker count (native engine, same
-// tiles in the same per-tile order, so the results are bit-identical and
-// only the dispatch mechanism differs).
+// HybridDispatchPoint compares the shared tile scheduler at one worker
+// count against a direct serial tile loop (native engine, the same
+// kernel's row body over the same box and tiles, so the results are
+// bit-identical). At one worker the ratio is what the scheduler's
+// dispatch layering costs; at four it is what the worker team buys.
 type HybridDispatchPoint struct {
-	Workers          int     `json:"workers"`
-	PoolGptss        float64 `json:"pool_gptss"`
-	ForkJoinGptss    float64 `json:"forkjoin_gptss"`
-	PoolOverForkJoin float64 `json:"pool_over_forkjoin"`
+	Workers        int     `json:"workers"`
+	PoolGptss      float64 `json:"pool_gptss"`
+	SerialGptss    float64 `json:"serial_gptss"`
+	PoolOverSerial float64 `json:"pool_over_serial"`
 }
 
 // HybridReport is the BENCH_hybrid.json schema: the MPI+X shared-memory
-// tier's certification record — zero-allocation dispatch, pool-vs-
-// fork-join overhead, worker scaling with bit-exactness, the measured
+// tier's certification record — zero-allocation dispatch, scheduler-vs-
+// direct-loop overhead, worker scaling with bit-exactness, the measured
 // dispatch sync cost, the joint autotuner's worker choice and the pool's
 // obs counters from a 4-rank full-overlap run.
 type HybridReport struct {
@@ -67,7 +71,7 @@ type HybridReport struct {
 	// The kernel dispatch contributes zero; the small residual is the
 	// source-injection wrapper.
 	SteadyAllocsPerStep float64 `json:"steady_allocs_per_step"`
-	// SyncCostSec is the measured per-dispatch fork-join overhead of a
+	// SyncCostSec is the measured per-dispatch wake/join overhead of a
 	// 4-worker pool on this machine (Pool.SyncCost) — the figure the
 	// autotuner injects as perfmodel.Host.PoolSync.
 	SyncCostSec float64               `json:"sync_cost_sec"`
@@ -105,7 +109,7 @@ type hybridTask struct{ hits []int64 }
 func (t *hybridTask) RunTile(w, tile int) { t.hits[tile]++ }
 
 // runHybrid measures the persistent MPI+X worker runtime and writes
-// BENCH_hybrid.json: allocation certification, pool-vs-fork-join
+// BENCH_hybrid.json: allocation certification, scheduler-vs-direct-loop
 // dispatch comparison, a worker scaling sweep over all three engines
 // with bit-exactness against the 1-worker baseline, the joint
 // autotuner's worker selection and the pool counters of a 4-rank
@@ -138,37 +142,28 @@ func runHybrid(size, nt int, outDir string) error {
 	p.Close()
 	fmt.Printf("  pool sync cost (4 workers): %.2f us/dispatch\n", report.SyncCostSec*1e6)
 
-	// --- Pool vs fork-join dispatch ---------------------------------------
-	fmt.Printf("%-10s %14s %14s %12s\n", "dispatch", "pool GPts/s", "forkjoin", "pool/fj")
+	// --- Scheduler vs direct serial tile loop ----------------------------
+	fmt.Printf("%-10s %14s %14s %12s\n", "dispatch", "sched GPts/s", "serial", "sched/ser")
 	for _, w := range []int{1, 4} {
-		pool, err := hybridRun(core.EngineNative, w, nt, size, false)
+		pt, err := hybridDispatch(w, nt, size)
 		if err != nil {
 			return err
-		}
-		fj, err := hybridRun(core.EngineNative, w, nt, size, true)
-		if err != nil {
-			return err
-		}
-		pt := HybridDispatchPoint{Workers: w,
-			PoolGptss: pool.Perf.GPtss(), ForkJoinGptss: fj.Perf.GPtss()}
-		if pt.ForkJoinGptss > 0 {
-			pt.PoolOverForkJoin = pt.PoolGptss / pt.ForkJoinGptss
 		}
 		report.Dispatch = append(report.Dispatch, pt)
-		fmt.Printf("w=%-8d %14.4f %14.4f %11.2fx\n", w, pt.PoolGptss, pt.ForkJoinGptss, pt.PoolOverForkJoin)
+		fmt.Printf("w=%-8d %14.4f %14.4f %11.2fx\n", w, pt.PoolGptss, pt.SerialGptss, pt.PoolOverSerial)
 	}
 
 	// --- Worker scaling sweep, all three engines --------------------------
 	fmt.Printf("%-14s %8s %14s %10s %10s\n", "engine", "workers", "GPts/s", "vs w=1", "bit-exact")
 	for _, engine := range []string{core.EngineInterpreter, core.EngineBytecode, core.EngineNative} {
-		ref, err := hybridRun(engine, 1, nt, size, false)
+		ref, err := hybridRun(engine, 1, nt, size)
 		if err != nil {
 			return err
 		}
 		for _, w := range []int{1, 2, 4, 7} {
 			res := ref
 			if w != 1 {
-				if res, err = hybridRun(engine, w, nt, size, false); err != nil {
+				if res, err = hybridRun(engine, w, nt, size); err != nil {
 					return err
 				}
 			}
@@ -281,7 +276,7 @@ func measureSteadyAllocsPerStep(size int) (float64, error) {
 
 // hybridRun builds a fresh acoustic model (every run needs pristine
 // initial state for the bit-exactness comparison) and measures nt steps.
-func hybridRun(engine string, workers, nt, size int, forkJoin bool) (*propagators.RunResult, error) {
+func hybridRun(engine string, workers, nt, size int) (*propagators.RunResult, error) {
 	m, err := propagators.Build("acoustic", propagators.Config{
 		Shape: []int{size, size}, SpaceOrder: hybridSO, NBL: 8, Velocity: 1.5,
 	})
@@ -290,16 +285,84 @@ func hybridRun(engine string, workers, nt, size int, forkJoin bool) (*propagator
 	}
 	res, err := propagators.Run(m, nil, propagators.RunConfig{
 		NT: nt, NReceivers: 4, Engine: engine,
-		Workers: workers, TileRows: 4, ForkJoin: forkJoin,
+		Workers: workers, TileRows: 4,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s w=%d forkJoin=%v: %w", engine, workers, forkJoin, err)
+		return nil, fmt.Errorf("%s w=%d: %w", engine, workers, err)
 	}
 	res.Op.Close()
 	if res.Perf.GPtss() <= 0 {
 		return nil, fmt.Errorf("%s w=%d: degenerate measurement (no throughput)", engine, workers)
 	}
 	return res, nil
+}
+
+// hybridDispatchReps is how many alternating timed passes feed each
+// side of the dispatch comparison; the fastest pass of each side counts,
+// so a descheduled pass on a shared host cannot flip the gate.
+const hybridDispatchReps = 5
+
+// hybridDispatch times nt steps of the acoustic model's native kernels
+// over the full domain two ways — through the scheduler (Kernel.Run with
+// a w-worker pool) and through the direct serial tile loop
+// (Kernel.RunDirect) — with the same 4-row tiles, and reports both
+// throughputs and their ratio.
+func hybridDispatch(w, nt, size int) (HybridDispatchPoint, error) {
+	pt := HybridDispatchPoint{Workers: w}
+	m, err := propagators.Build("acoustic", propagators.Config{
+		Shape: []int{size, size}, SpaceOrder: hybridSO, NBL: 8, Velocity: 1.5,
+	})
+	if err != nil {
+		return pt, err
+	}
+	op, err := core.NewOperator(m.Eqs, m.Fields, m.Grid, nil,
+		&core.Options{Name: m.Name, Engine: core.EngineNative})
+	if err != nil {
+		return pt, err
+	}
+	defer op.Close()
+	bound, err := op.BindSyms(map[string]float64{"dt": m.CriticalDt})
+	if err != nil {
+		return pt, err
+	}
+	var kernels []*native.Kernel
+	for _, k := range op.Kernels() {
+		nk, ok := k.(*native.Kernel)
+		if !ok {
+			return pt, fmt.Errorf("dispatch comparison: kernel %T is not native", k)
+		}
+		kernels = append(kernels, nk)
+	}
+	shape := m.Fields[m.WaveFields[0]].LocalShape
+	box := devruntime.Box{Lo: make([]int, len(shape)), Hi: append([]int(nil), shape...)}
+	const tileRows = 4
+	p := devruntime.NewPool(w, 0)
+	defer p.Close()
+	opts := &devruntime.ExecOpts{TileRows: tileRows, Pool: p}
+	timed := func(direct bool) float64 {
+		t0 := time.Now()
+		for t := 0; t < nt; t++ {
+			for i, k := range kernels {
+				if direct {
+					k.RunDirect(t, box, bound[i], tileRows)
+				} else {
+					k.Run(t, box, bound[i], opts)
+				}
+			}
+		}
+		return time.Since(t0).Seconds()
+	}
+	timed(false) // warm: grows scratch, spins up the team
+	best := [2]float64{math.Inf(1), math.Inf(1)}
+	for r := 0; r < hybridDispatchReps; r++ {
+		best[0] = math.Min(best[0], timed(false))
+		best[1] = math.Min(best[1], timed(true))
+	}
+	pts := float64(box.Size()) * float64(nt) * float64(len(kernels))
+	pt.PoolGptss = pts / best[0] / 1e9
+	pt.SerialGptss = pts / best[1] / 1e9
+	pt.PoolOverSerial = pt.PoolGptss / pt.SerialGptss
+	return pt, nil
 }
 
 // hybridBitExact compares two runs' norms and receiver traces exactly

@@ -35,6 +35,7 @@ import (
 	"fmt"
 
 	"devigo/internal/field"
+	"devigo/internal/runtime"
 )
 
 // Vector opcodes. Each instruction operates on whole inner-dimension rows:
@@ -55,11 +56,11 @@ const (
 	opPowV               // rd[i] = ipow(reg_a[i], b)
 )
 
-// instr is one register-VM instruction; field use per opcode is documented
-// on the opcode constants.
-type instr struct {
-	op          byte
-	rd, a, b, c int32
+// Instr is one row-program instruction; field use per opcode is
+// documented on the opcode constants.
+type Instr struct {
+	Op          byte
+	Rd, A, B, C int32
 }
 
 // Scalar-prelude opcodes, executed once per Bind over the scalar pool.
@@ -74,39 +75,19 @@ type scalarInstr struct {
 	dst, a, b int32
 }
 
-// slot is a resolved field access: which function, which time offset, and
-// the per-dimension stencil offset. The flat buffer displacement is
-// derived from the field's *current* strides at every Run, so reallocating
-// ghost storage (deep halos for a larger exchange interval) never requires
-// recompiling kernels.
-type slot struct {
-	fieldIdx int
-	timeOff  int
-	off      [maxDims]int
-}
-
-// maxDims bounds the spatial dimensionality of compiled kernels (the
-// compiler's dimension names are x, y, z).
-const maxDims = 3
-
-// eqOut records where one equation's row store lands.
-type eqOut struct {
-	outField   int
-	outTimeOff int
-}
-
 // Kernel is a compiled loop nest: flat bytecode plus the resolved storage
 // it executes against. It is the bytecode engine's counterpart of
 // runtime.Kernel and satisfies the same execution contract.
 type Kernel struct {
 	Fields []*field.Function
 	names  []string
-	slots  []slot
-	eqs    []eqOut
+	slots  []runtime.Slot
+	// outs[i] is where equation i's store lands.
+	outs []runtime.Out
 
 	// prog is the flat row program: temporary assignments, then each
 	// equation's expression followed by its store, in source order.
-	prog []instr
+	prog []Instr
 	// prelude derives bind-time scalars (hoisted invariants, reciprocals).
 	prelude []scalarInstr
 	// pool is the scalar-pool template: constants are pre-filled; symbol
@@ -122,10 +103,10 @@ type Kernel struct {
 	numRegs int
 	flops   int
 
-	// st is the kernel's private reusable dispatch state (slot tables,
+	// sched is the kernel's private scheduler state (storage tables,
 	// per-worker scratch). Allocated at compile time and replaced on
 	// Rebind, never shared between kernel copies.
-	st *bcState
+	sched *runtime.Sched[bcScratch]
 }
 
 // BindSyms builds the execution-time scalar pool from a name->value map:

@@ -6,6 +6,7 @@ import (
 
 	"devigo/internal/field"
 	"devigo/internal/ir"
+	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
@@ -28,7 +29,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		fieldIdx:    map[string]int{},
 		symPool:     map[string]int32{},
 		constPool:   map[uint64]int32{},
-		slotIdx:     map[slot]int32{},
+		slotIdx:     map[runtime.Slot]int32{},
 		tempReg:     map[string]int32{},
 		scalarCache: map[string]int32{},
 		loadCache:   map[int32]int32{},
@@ -48,10 +49,10 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			reg = res.idx
 		case oScalar:
 			reg = c.allocReg()
-			c.emit(instr{op: opMovS, rd: reg, b: res.idx})
+			c.emit(Instr{Op: opMovS, Rd: reg, B: res.idx})
 		default: // pinned (cached load or earlier temp): keep a private copy
 			reg = c.allocReg()
-			c.emit(instr{op: opCopy, rd: reg, a: res.idx})
+			c.emit(Instr{Op: opCopy, Rd: reg, A: res.idx})
 		}
 		c.tempReg[a.Name] = reg
 	}
@@ -74,12 +75,12 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		}
 		if res.kind == oScalar {
 			reg := c.allocReg()
-			c.emit(instr{op: opMovS, rd: reg, b: res.idx})
+			c.emit(Instr{Op: opMovS, Rd: reg, B: res.idx})
 			res = opnd{kind: oScratch, idx: reg}
 		}
-		ei := int32(len(k.eqs))
-		k.eqs = append(k.eqs, eqOut{outField: fi, outTimeOff: lhs.TimeOff})
-		c.emit(instr{op: opStore, a: res.idx, b: ei})
+		ei := int32(len(k.outs))
+		k.outs = append(k.outs, runtime.Out{Field: fi, TimeOff: lhs.TimeOff})
+		c.emit(Instr{Op: opStore, A: res.idx, B: ei})
 		if res.kind == oScratch {
 			c.freeRegs = append(c.freeRegs, res.idx)
 		}
@@ -98,7 +99,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		}
 	}
 	k.numRegs = int(c.nextReg)
-	k.st = newBCState(k)
+	k.sched = runtime.NewSched[bcScratch](k, k.Fields, k.slots, k.outs)
 	return k, nil
 }
 
@@ -123,7 +124,7 @@ type compiler struct {
 	fieldIdx  map[string]int
 	symPool   map[string]int32 // scalar symbol -> pool slot
 	constPool map[uint64]int32 // float64 bits -> pool slot
-	slotIdx   map[slot]int32
+	slotIdx   map[runtime.Slot]int32
 	tempReg   map[string]int32 // CSE temporary -> pinned register
 	// scalarCache dedups bind-time evaluation of identical scalar
 	// subtrees (canonical string -> pool slot).
@@ -142,7 +143,7 @@ type compiler struct {
 	nextReg  int32
 }
 
-func (c *compiler) emit(in instr) { c.k.prog = append(c.k.prog, in) }
+func (c *compiler) emit(in Instr) { c.k.prog = append(c.k.prog, in) }
 
 func (c *compiler) allocReg() int32 {
 	if n := len(c.freeRegs); n > 0 {
@@ -196,7 +197,7 @@ func (c *compiler) invalidate(fieldIdx int) {
 	for si := range c.k.slots {
 		si32 := int32(si)
 		reg, cached := c.loadCache[si32]
-		if !cached || c.k.slots[si].fieldIdx != fieldIdx {
+		if !cached || c.k.slots[si].Field != fieldIdx {
 			continue
 		}
 		delete(c.loadCache, si32)
@@ -370,7 +371,7 @@ func (c *compiler) compileVec(e symbolic.Expr) (opnd, error) {
 			return opnd{}, err
 		}
 		rd := c.pick(base)
-		c.emit(instr{op: opPowV, rd: rd, a: base.idx, b: int32(v.Exp)})
+		c.emit(Instr{Op: opPowV, Rd: rd, A: base.idx, B: int32(v.Exp)})
 		c.releaseExcept(rd, base)
 		return opnd{kind: oScratch, idx: rd}, nil
 	case symbolic.Deriv:
@@ -387,11 +388,11 @@ func (c *compiler) load(a symbolic.Access) (opnd, error) {
 	if err != nil {
 		return opnd{}, err
 	}
-	if len(a.Off) > maxDims {
-		return opnd{}, fmt.Errorf("bytecode: access %s exceeds %d dimensions", a, maxDims)
+	if len(a.Off) > runtime.MaxDims {
+		return opnd{}, fmt.Errorf("bytecode: access %s exceeds %d dimensions", a, runtime.MaxDims)
 	}
-	s := slot{fieldIdx: fi, timeOff: a.TimeOff}
-	copy(s.off[:], a.Off)
+	s := runtime.Slot{Field: fi, TimeOff: a.TimeOff}
+	copy(s.Off[:], a.Off)
 	si, ok := c.slotIdx[s]
 	if !ok {
 		si = int32(len(c.k.slots))
@@ -402,7 +403,7 @@ func (c *compiler) load(a symbolic.Access) (opnd, error) {
 		return opnd{kind: oPinned, idx: reg}, nil
 	}
 	reg := c.allocReg()
-	c.emit(instr{op: opLoad, rd: reg, b: si})
+	c.emit(Instr{Op: opLoad, Rd: reg, B: si})
 	c.loadCache[si] = reg
 	c.cacheReg[reg] = si
 	return opnd{kind: oPinned, idx: reg}, nil
@@ -487,21 +488,21 @@ func (c *compiler) addTerm(acc opnd, term symbolic.Expr) (opnd, error) {
 		return c.addVS(v, acc.idx), nil
 	}
 	rd := c.pick(acc, v)
-	c.emit(instr{op: opAddVV, rd: rd, a: acc.idx, b: v.idx})
+	c.emit(Instr{Op: opAddVV, Rd: rd, A: acc.idx, B: v.idx})
 	c.releaseExcept(rd, acc, v)
 	return opnd{kind: oScratch, idx: rd}, nil
 }
 
 func (c *compiler) addVS(v opnd, s int32) opnd {
 	rd := c.pick(v)
-	c.emit(instr{op: opAddVS, rd: rd, a: v.idx, b: s})
+	c.emit(Instr{Op: opAddVS, Rd: rd, A: v.idx, B: s})
 	c.releaseExcept(rd, v)
 	return opnd{kind: oScratch, idx: rd}
 }
 
 func (c *compiler) mulVS(v opnd, s int32) opnd {
 	rd := c.pick(v)
-	c.emit(instr{op: opMulVS, rd: rd, a: v.idx, b: s})
+	c.emit(Instr{Op: opMulVS, Rd: rd, A: v.idx, B: s})
 	c.releaseExcept(rd, v)
 	return opnd{kind: oScratch, idx: rd}
 }
@@ -512,17 +513,17 @@ func (c *compiler) madd(x, y, acc opnd) opnd {
 	switch {
 	case x.kind == oScalar:
 		rd := c.pick(acc, y)
-		c.emit(instr{op: opMaddVS, rd: rd, a: y.idx, b: x.idx, c: acc.idx})
+		c.emit(Instr{Op: opMaddVS, Rd: rd, A: y.idx, B: x.idx, C: acc.idx})
 		c.releaseExcept(rd, acc, y)
 		return opnd{kind: oScratch, idx: rd}
 	case y.kind == oScalar:
 		rd := c.pick(acc, x)
-		c.emit(instr{op: opMaddVS, rd: rd, a: x.idx, b: y.idx, c: acc.idx})
+		c.emit(Instr{Op: opMaddVS, Rd: rd, A: x.idx, B: y.idx, C: acc.idx})
 		c.releaseExcept(rd, acc, x)
 		return opnd{kind: oScratch, idx: rd}
 	default:
 		rd := c.pick(acc, x, y)
-		c.emit(instr{op: opMaddVV, rd: rd, a: x.idx, b: y.idx, c: acc.idx})
+		c.emit(Instr{Op: opMaddVV, Rd: rd, A: x.idx, B: y.idx, C: acc.idx})
 		c.releaseExcept(rd, acc, x, y)
 		return opnd{kind: oScratch, idx: rd}
 	}
@@ -569,7 +570,7 @@ func (c *compiler) compileMul(factors []symbolic.Expr) (opnd, error) {
 			continue
 		}
 		rd := c.pick(acc, v)
-		c.emit(instr{op: opMulVV, rd: rd, a: acc.idx, b: v.idx})
+		c.emit(Instr{Op: opMulVV, Rd: rd, A: acc.idx, B: v.idx})
 		c.releaseExcept(rd, acc, v)
 		acc = opnd{kind: oScratch, idx: rd}
 	}

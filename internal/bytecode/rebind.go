@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"devigo/internal/field"
+	"devigo/internal/runtime"
 )
 
 // Rebind returns a copy of the kernel executing against different storage:
@@ -37,6 +38,6 @@ func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
 	}
 	// A private dispatch state keeps the copy concurrency-safe against the
 	// original (the opcache runs rebound kernels across shots in parallel).
-	nk.st = newBCState(&nk)
+	nk.sched = runtime.NewSched[bcScratch](&nk, nk.Fields, nk.slots, nk.outs)
 	return &nk, nil
 }

@@ -10,6 +10,8 @@ package bytecode
 // conformance tests assert that every opcode and every run shape stays
 // covered by real scenario kernels.
 
+import "devigo/internal/runtime"
+
 // Exported opcode values, mirroring the internal constants one-to-one.
 const (
 	OpLoad   byte = opLoad
@@ -57,56 +59,15 @@ func OpName(op byte) string {
 	return "?"
 }
 
-// Instr is the exported view of one row-program instruction. Field use per
-// opcode matches the internal opcode documentation: Rd, A and C address
-// row registers; B addresses the scalar pool, a load slot, an equation
-// index, an integer exponent, or the second source register (VV forms).
-type Instr struct {
-	Op          byte
-	Rd, A, B, C int32
-}
+// Program returns the compiled row program. The slice is the kernel's
+// own and must not be modified.
+func (k *Kernel) Program() []Instr { return k.prog }
 
-// Program returns the compiled row program as exported instructions.
-func (k *Kernel) Program() []Instr {
-	out := make([]Instr, len(k.prog))
-	for i, in := range k.prog {
-		out[i] = Instr{Op: in.op, Rd: in.rd, A: in.a, B: in.b, C: in.c}
-	}
-	return out
-}
+// Slots returns the program's load-slot table (read-only).
+func (k *Kernel) Slots() []runtime.Slot { return k.slots }
 
-// SlotRef describes one resolved field access of the program: which bound
-// field (index into FieldNames), which time offset, and the per-dimension
-// stencil offset.
-type SlotRef struct {
-	Field   int
-	TimeOff int
-	Off     [3]int
-}
-
-// Slots returns the program's load-slot table.
-func (k *Kernel) Slots() []SlotRef {
-	out := make([]SlotRef, len(k.slots))
-	for i, s := range k.slots {
-		out[i] = SlotRef{Field: s.fieldIdx, TimeOff: s.timeOff, Off: s.off}
-	}
-	return out
-}
-
-// EqRef describes where one equation's store lands.
-type EqRef struct {
-	Field   int
-	TimeOff int
-}
-
-// EqOuts returns the program's equation-output table.
-func (k *Kernel) EqOuts() []EqRef {
-	out := make([]EqRef, len(k.eqs))
-	for i, e := range k.eqs {
-		out[i] = EqRef{Field: e.outField, TimeOff: e.outTimeOff}
-	}
-	return out
-}
+// Outs returns the program's equation-output table (read-only).
+func (k *Kernel) Outs() []runtime.Out { return k.outs }
 
 // FieldNames returns the kernel's bound field names in field-index order.
 func (k *Kernel) FieldNames() []string { return k.names }
@@ -344,7 +305,7 @@ const (
 // that loads a stored buffer at a nonzero stencil offset (which would make
 // per-point execution see neighbors the row-sweep order has not written
 // yet) falls back to one verbatim VM segment.
-func ExtractSegments(prog []Instr, slots []SlotRef, eqs []EqRef) []Segment {
+func ExtractSegments(prog []Instr, slots []runtime.Slot, eqs []runtime.Out) []Segment {
 	for _, e := range eqs {
 		for _, s := range slots {
 			if s.Field == e.Field && s.TimeOff == e.TimeOff && s.Off != [3]int{} {
@@ -387,7 +348,7 @@ func ExtractSegments(prog []Instr, slots []SlotRef, eqs []EqRef) []Segment {
 // materializeMask marks load instructions whose register is consumed after
 // a store to the loaded buffer: deferring those would re-read overwritten
 // memory, so they are pinned to their original program position instead.
-func materializeMask(prog []Instr, slots []SlotRef, eqs []EqRef) []bool {
+func materializeMask(prog []Instr, slots []runtime.Slot, eqs []runtime.Out) []bool {
 	type bufKey struct{ f, t int }
 	storeAt := map[bufKey][]int{}
 	for i, in := range prog {
@@ -985,5 +946,5 @@ func Ipow(v float64, e int) float64 { return ipow(v, e) }
 
 // Segments extracts the kernel's own fused-segment partition.
 func (k *Kernel) Segments() []Segment {
-	return ExtractSegments(k.Program(), k.Slots(), k.EqOuts())
+	return ExtractSegments(k.prog, k.slots, k.outs)
 }

@@ -120,7 +120,7 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 		TileStreams:     streams,
 	}
 	if op.forcedWorkers {
-		p.ForcedWorkers = op.execOpts.Workers
+		p.ForcedWorkers = op.workers
 	}
 	if op.forcedTileRows {
 		p.ForcedTileRows = op.execOpts.TileRows
@@ -133,7 +133,7 @@ func (op *Operator) Profile() perfmodel.OpProfile {
 // differs from the current one.
 func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	if cfg.Workers > 0 {
-		op.execOpts.Workers = cfg.Workers
+		op.workers = cfg.Workers
 	}
 	if cfg.TileRows > 0 {
 		op.execOpts.TileRows = cfg.TileRows
@@ -158,24 +158,28 @@ func (op *Operator) adopt(cfg perfmodel.ExecConfig) error {
 	return nil
 }
 
-// measurePoolSync replaces the host model's order-of-magnitude fork-join
-// cost with the measured dispatch cost (publish + wake + join) of a
-// persistent worker pool on this machine, so the workers axis is ranked
-// against real sync overhead. The operator's own pool is probed when one
-// is live; otherwise a transient team of the planning width is timed and
-// released. Fork-join operators keep the model default — per-call
-// goroutine dispatch is what they will actually pay.
+// measurePoolSync replaces the host model's order-of-magnitude dispatch
+// sync cost with the measured dispatch cost (publish + wake + join) of
+// the persistent worker pool on this machine, so the workers axis is
+// ranked against real sync overhead. The operator's own pool is probed
+// when one is live; otherwise a transient team of the planning width is
+// timed and released. Under DMP the slowest rank's figure is adopted
+// everywhere: the model ranks candidates with it, and ranks planning from
+// different hosts would shortlist — and adopt — different configurations.
 func (op *Operator) measurePoolSync(h *perfmodel.Host, maxWorkers int) {
-	if op.forkJoin || maxWorkers <= 1 {
+	if maxWorkers <= 1 {
 		return
 	}
 	if op.pool != nil && op.pool.Workers() > 1 {
 		h.PoolSync = op.pool.SyncCost()
-		return
+	} else {
+		p := runtime.NewPool(maxWorkers, op.obsRank())
+		h.PoolSync = p.SyncCost()
+		p.Close()
 	}
-	p := runtime.NewPool(maxWorkers, op.obsRank())
-	defer p.Close()
-	h.PoolSync = p.SyncCost()
+	if op.ctx != nil && !op.ctx.Serial() {
+		h.PoolSync = op.ctx.Comm.AllreduceScalar(h.PoolSync, mpi.OpMax)
+	}
 }
 
 // tileProfile derives the exchange-interval figures of the profile: the
@@ -336,7 +340,7 @@ type EffectiveConfig struct {
 
 // Config reports the operator's effective execution configuration.
 func (op *Operator) Config() EffectiveConfig {
-	w := op.execOpts.Workers
+	w := op.workers
 	if w < 1 {
 		w = 1
 	}

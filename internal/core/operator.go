@@ -61,14 +61,12 @@ type Operator struct {
 	// shrinking time-tile shell boxes are load-imbalanced across the
 	// static block-cyclic partition, so only they opt into stealing.
 	shellOpts runtime.ExecOpts
-	// pool is the persistent per-rank worker team (nil when serial or
-	// fork-join dispatch is forced). Workers spawn once and park between
-	// dispatches; the pool survives Retarget/RetargetTimeTile/Rebind and
-	// is released by Close.
+	// workers is the configured per-rank worker count (0 or 1 = serial).
+	workers int
+	// pool is the persistent per-rank worker team (nil when serial).
+	// Workers spawn once and park between dispatches; the pool survives
+	// Retarget/RetargetTimeTile/Rebind and is released by Close.
 	pool *runtime.Pool
-	// forkJoin pins the legacy per-call goroutine dispatch (the baseline
-	// the hybrid benchmark compares the pool against).
-	forkJoin bool
 	// mode is the operator's own halo pattern: seeded from the context at
 	// construction, switchable afterwards via Retarget (the context is
 	// shared between operators and is never mutated).
@@ -172,10 +170,6 @@ type Options struct {
 	// DEVIGO_WORKERS environment variable applies when unset (0); both
 	// count as forced — the autotuner never overrides an explicit choice.
 	Workers int
-	// ForkJoin forces the legacy per-call goroutine dispatch instead of
-	// the persistent worker pool — the overhead baseline devigo-bench's
-	// hybrid experiment measures the pool against.
-	ForkJoin bool
 	// TileRows controls progress granularity for overlap mode.
 	TileRows int
 	// Engine selects the execution engine: EngineBytecode (default) or
@@ -354,9 +348,8 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	if opts != nil {
 		op.execOpts.TileRows = opts.TileRows
 		op.forcedTileRows = opts.TileRows > 0
-		op.forkJoin = opts.ForkJoin
 	}
-	op.execOpts.Workers = workersReq
+	op.workers = workersReq
 	op.forcedWorkers = workersReq > 0
 	if op.execOpts.TileRows <= 0 {
 		op.execOpts.TileRows = 8
@@ -425,15 +418,15 @@ func (op *Operator) obsRank() int {
 
 // ensurePool reconciles the persistent worker team with the operator's
 // current worker count: it spawns a team when more than one worker is
-// configured (unless fork-join dispatch is forced), resizes by replacing
+// configured, resizes by replacing
 // a mismatched or closed team, and releases the team when the operator
 // drops back to serial. It also refreshes shellOpts, the stealing twin of
 // execOpts. Called at the head of every Apply and after every autotune
 // adoption — the pool itself survives Retarget/RetargetTimeTile/Rebind
 // untouched (those never change the worker count).
 func (op *Operator) ensurePool() {
-	w := op.execOpts.Workers
-	if w <= 1 || op.forkJoin {
+	w := op.workers
+	if w <= 1 {
 		if op.pool != nil {
 			op.pool.Close()
 			op.pool = nil
@@ -464,8 +457,8 @@ func (op *Operator) Close() {
 	}
 }
 
-// Pool exposes the operator's persistent worker team (nil when serial or
-// fork-join dispatch is forced) — benchmarks read its dispatch counters.
+// Pool exposes the operator's persistent worker team (nil when serial) —
+// benchmarks read its dispatch counters.
 func (op *Operator) Pool() *runtime.Pool { return op.pool }
 
 // buildExchangers instantiates one exchanger per exchanged field for the
@@ -602,17 +595,16 @@ type ApplyOpts struct {
 	Autotune string
 }
 
-// Apply runs the operator. It is deterministic: identical inputs produce
-// identical outputs for a fixed context/mode.
-func (op *Operator) Apply(a *ApplyOpts) error {
-	if a == nil {
-		a = &ApplyOpts{}
-	}
+// BindSyms builds every kernel's scalar vector for one Apply: the grid
+// spacings, the user symbols (dt is mandatory for time-dependent
+// operators) and the hoisted invariants evaluated from them, bound through
+// each kernel's own BindSyms. The result is indexed like Kernels().
+func (op *Operator) BindSyms(user map[string]float64) ([][]float64, error) {
 	syms := map[string]float64{}
 	for d, name := range op.Grid.SpacingSymbols() {
 		syms[name] = op.Grid.Spacing(d)
 	}
-	for k, v := range a.Syms {
+	for k, v := range user {
 		syms[k] = v
 	}
 	// Evaluate the hoisted invariants (in order, so later ones may use
@@ -620,7 +612,7 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	for _, inv := range op.invariants {
 		v := symbolic.Eval(inv.Value, &symbolic.Env{Syms: syms})
 		if v != v { // NaN: an unbound symbol feeds this invariant
-			return fmt.Errorf("core: %s: invariant %s references an unbound symbol", op.Name, inv.Name)
+			return nil, fmt.Errorf("core: %s: invariant %s references an unbound symbol", op.Name, inv.Name)
 		}
 		syms[inv.Name] = v
 	}
@@ -628,9 +620,22 @@ func (op *Operator) Apply(a *ApplyOpts) error {
 	for i, k := range op.kernels {
 		b, err := k.BindSyms(syms)
 		if err != nil {
-			return fmt.Errorf("core: %s: %w", op.Name, err)
+			return nil, fmt.Errorf("core: %s: %w", op.Name, err)
 		}
 		bound[i] = b
+	}
+	return bound, nil
+}
+
+// Apply runs the operator. It is deterministic: identical inputs produce
+// identical outputs for a fixed context/mode.
+func (op *Operator) Apply(a *ApplyOpts) error {
+	if a == nil {
+		a = &ApplyOpts{}
+	}
+	bound, err := op.BindSyms(a.Syms)
+	if err != nil {
+		return err
 	}
 
 	// Stale-geometry guard before any exchange: a sibling operator may

@@ -247,7 +247,9 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {Workers: 3, TileRows: 2}} {
+			team := runtime.NewPool(3, 0)
+			defer team.Close()
+			for _, opts := range []*runtime.ExecOpts{nil, {TileRows: 3}, {TileRows: 2, Pool: team}} {
 				kB.Run(0, confBox(n.fB[n.outs[0]]), poolB, opts)
 				nk.Run(0, confBox(n.fN[n.outs[0]]), poolN, opts)
 				for _, fn := range n.outs {

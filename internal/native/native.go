@@ -17,8 +17,8 @@
 // so the engine is bit-exact with the bytecode VM and the interpreter by
 // construction, NaN payloads and signed zeros included. Rows split into
 // a vectorized n&^3 body plus a per-point scalar tail, so any row width
-// runs. Program regions that do not lower to chains fall back to
-// per-instruction row sweeps identical to the VM's.
+// runs. Program regions that do not lower to chains fall back to the
+// bytecode VM's own row sweep (bytecode.Sweep).
 //
 // The speedup comes from three removals: the full-row intermediate
 // traffic (the VM materializes every instruction's result as a whole
@@ -31,6 +31,7 @@ package native
 import (
 	"devigo/internal/bytecode"
 	"devigo/internal/field"
+	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
@@ -39,18 +40,16 @@ import (
 // scalar pool, slot tables and field bindings) and satisfies the same
 // execution contract (core.ExecKernel).
 type Kernel struct {
-	bk    *bytecode.Kernel
-	slots []bytecode.SlotRef
-	eqs   []bytecode.EqRef
-	segs  []segment
-	tm    *tmpl
+	bk   *bytecode.Kernel
+	segs []segment
+	tm   *tmpl
 	// fusedInstrs is the per-point dispatch count after fusion: one per
 	// chain link plus one per fallback VM instruction.
 	fusedInstrs int
-	// st is the kernel's private reusable dispatch state (slot tables,
+	// sched is the kernel's private scheduler state (storage tables,
 	// per-worker scratch and cached execs). Allocated at Wrap time and
 	// replaced on Rebind, never shared between kernel copies.
-	st *natState
+	sched *runtime.Sched[natScratch]
 }
 
 // segment is one executable region: either a fused link chain or a VM
@@ -78,7 +77,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 // The receiver shares the bytecode kernel's immutable tables; Run never
 // mutates them.
 func Wrap(bk *bytecode.Kernel) *Kernel {
-	k := &Kernel{bk: bk, slots: bk.Slots(), eqs: bk.EqOuts()}
+	k := &Kernel{bk: bk}
 	segs := bk.Segments()
 	k.segs = make([]segment, len(segs))
 	nlinks := 0
@@ -94,7 +93,7 @@ func Wrap(bk *bytecode.Kernel) *Kernel {
 		}
 	}
 	k.buildTemplate(segs)
-	k.st = newNatState(k)
+	k.sched = runtime.NewSched[natScratch](k, bk.Fields, bk.Slots(), bk.Outs())
 	return k
 }
 
@@ -140,6 +139,6 @@ func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
 	nk.bk = bk
 	// A private dispatch state keeps the copy concurrency-safe against the
 	// original (the opcache runs rebound kernels across shots in parallel).
-	nk.st = newNatState(&nk)
+	nk.sched = runtime.NewSched[natScratch](&nk, bk.Fields, bk.Slots(), bk.Outs())
 	return &nk, nil
 }

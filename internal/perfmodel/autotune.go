@@ -113,16 +113,16 @@ type Host struct {
 	// (bytes/s); per-point cost is the max of the instruction-latency and
 	// memory-traffic terms, a two-bound roofline.
 	MemBandwidth float64
-	// WorkerSpawn is the per-worker cost of starting the pool for one
-	// kernel launch (goroutine creation + channel setup).
+	// WorkerSpawn is the per-worker cost of waking the parked team for
+	// one kernel launch.
 	WorkerSpawn float64
-	// PoolSync is the fixed fork-join/sync cost of one multi-worker kernel
-	// launch: publish the work, wake the team, join at the barrier. The
-	// default is an order-of-magnitude figure; the operator overrides it
-	// with the measured dispatch cost of its persistent pool
+	// PoolSync is the fixed sync cost of one multi-worker kernel launch
+	// through the persistent pool: publish the work, wake the team, join
+	// at the barrier. The default is an order-of-magnitude figure; the
+	// operator overrides it with the measured dispatch cost of its pool
 	// (runtime.Pool.SyncCost) before planning.
 	PoolSync float64
-	// TileOverhead is the per-tile scheduling cost (channel receive,
+	// TileOverhead is the per-tile scheduling cost (cursor claim,
 	// odometer setup).
 	TileOverhead float64
 	// MsgLatency is the per-message rendezvous cost of the in-process MPI.

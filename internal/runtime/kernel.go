@@ -1,9 +1,11 @@
 // Package runtime executes compiled stencil kernels: the devigo equivalent
-// of the JIT-compiled C code. Clusters are compiled to a compact
-// stack-machine program per equation; the executor runs the program over a
-// tiled loop nest with optional worker-pool parallelism (the stand-in for
-// OpenMP threads) and a progress hook between tiles (the stand-in for the
-// MPI_Test prods of the full communication pattern).
+// of the JIT-compiled C code. It owns the shared-memory tier every engine
+// runs through — the tile scheduler (Sched) over the persistent worker
+// pool (the stand-in for OpenMP threads), with a progress hook between
+// tiles (the stand-in for the MPI_Test prods of the full communication
+// pattern) — and the reference interpreter engine, which compiles
+// clusters to a compact stack-machine program per equation and supplies
+// the scheduler its per-row body.
 package runtime
 
 import (
@@ -31,28 +33,11 @@ type instr struct {
 	v  float64
 }
 
-// slot is a resolved field access: which function, which time offset, and
-// the per-dimension stencil offset. The flat buffer displacement is
-// derived from the field's *current* strides at every Run, so reallocating
-// ghost storage (deep halos for a larger exchange interval) never requires
-// recompiling kernels.
-type slot struct {
-	fieldIdx int
-	timeOff  int
-	off      [maxDims]int
-}
-
-// maxDims bounds the spatial dimensionality of compiled kernels (the
-// compiler's dimension names are x, y, z).
-const maxDims = 3
-
 // CompiledEq is one lowered equation ready to execute.
 type CompiledEq struct {
-	outField   int
-	outTimeOff int
-	prog       []instr
-	maxStack   int
-	flops      int
+	prog     []instr
+	maxStack int
+	flops    int
 }
 
 // Kernel is a compiled cluster: every equation of one fused loop nest.
@@ -60,7 +45,9 @@ type Kernel struct {
 	Fields []*field.Function
 	names  []string
 	Eqs    []CompiledEq
-	slots  []slot
+	slots  []Slot
+	// outs[i] is where Eqs[i] stores.
+	outs []Out
 	// Temps are per-point scalar temporaries (CSE extractions), executed
 	// in order before the equations at every point; temps[i] receives the
 	// result of Temps[i].
@@ -70,10 +57,10 @@ type Kernel struct {
 	SymNames []string
 	// Radius is the stencil radius per dimension (halo requirement).
 	Radius []int
-	// st is the kernel's private reusable dispatch state (slot tables,
+	// sched is the kernel's private scheduler state (storage tables,
 	// per-worker scratch). Allocated at compile time and replaced on
 	// Rebind, never shared between kernel copies.
-	st *runState
+	sched *Sched[irScratch]
 }
 
 // CompileCluster resolves a cluster against concrete field storage.
@@ -92,7 +79,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	k := &Kernel{Radius: append([]int(nil), radius...)}
 	fieldIdx := map[string]int{}
 	symIdx := map[string]int{}
-	slotIdx := map[slot]int{}
+	slotIdx := map[Slot]int{}
 	tempIdx := map[string]int{}
 	for i, a := range assigns {
 		tempIdx[a.Name] = i
@@ -121,7 +108,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		k.SymNames = append(k.SymNames, name)
 		return i
 	}
-	getSlot := func(s slot) int {
+	getSlot := func(s Slot) int {
 		if i, ok := slotIdx[s]; ok {
 			return i
 		}
@@ -155,11 +142,11 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			if err != nil {
 				return err
 			}
-			if len(v.Off) > maxDims {
-				return fmt.Errorf("runtime: access %s exceeds %d dimensions", v, maxDims)
+			if len(v.Off) > MaxDims {
+				return fmt.Errorf("runtime: access %s exceeds %d dimensions", v, MaxDims)
 			}
-			s := slot{fieldIdx: fi, timeOff: v.TimeOff}
-			copy(s.off[:], v.Off)
+			s := Slot{Field: fi, TimeOff: v.TimeOff}
+			copy(s.Off[:], v.Off)
 			*prog = append(*prog, instr{op: opLoad, a: getSlot(s)})
 			bump(depth + 1)
 		case symbolic.Add:
@@ -223,7 +210,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		if err != nil {
 			return nil, err
 		}
-		ce := CompiledEq{outField: fi, outTimeOff: lhs.TimeOff, flops: symbolic.FlopCount(eq.RHS)}
+		ce := CompiledEq{flops: symbolic.FlopCount(eq.RHS)}
 		if err := compile(eq.RHS, &ce.prog, 0, &ce.maxStack); err != nil {
 			return nil, err
 		}
@@ -231,6 +218,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			return nil, fmt.Errorf("runtime: expression too deep (stack %d > %d)", ce.maxStack, stackCap)
 		}
 		k.Eqs = append(k.Eqs, ce)
+		k.outs = append(k.outs, Out{Field: fi, TimeOff: lhs.TimeOff})
 	}
 	// Validate that all fields share the local domain shape; differing halo
 	// widths are fine (strides are resolved at execution time).
@@ -242,7 +230,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			}
 		}
 	}
-	k.st = newRunState(k)
+	k.sched = NewSched[irScratch](k, k.Fields, k.slots, k.outs)
 	return k, nil
 }
 

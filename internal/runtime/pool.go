@@ -8,8 +8,8 @@ import (
 	"devigo/internal/obs"
 )
 
-// Task is one dispatched kernel invocation: the engines hand the pool an
-// object that can execute any tile of the current sweep. RunTile(w, tile)
+// Task is one dispatched kernel invocation: the tile scheduler hands the
+// pool an object that can execute any tile of the current sweep. RunTile(w, tile)
 // executes tile `tile` using worker w's private scratch; tiles partition
 // the outer dimension into disjoint row bands, so any assignment of tiles
 // to workers produces bit-identical results.
@@ -292,8 +292,8 @@ func (noopTask) RunTile(int, int) {}
 // syncCostRounds is how many empty dispatches feed the SyncCost estimate.
 const syncCostRounds = 64
 
-// SyncCost measures the pool's per-dispatch fork-join overhead in seconds
-// — the wake-broadcast plus join-barrier handshake with no work in
+// SyncCost measures the pool's per-dispatch overhead in seconds — the
+// wake-broadcast plus join-barrier handshake with no work in
 // between — by timing empty dispatches. The first call measures (a few
 // hundred microseconds); later calls return the cached figure. The
 // autotuner injects it as perfmodel.Host.PoolSync, replacing the default

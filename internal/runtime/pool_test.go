@@ -239,7 +239,7 @@ func TestKernelPoolRunAllocFree(t *testing.T) {
 	}
 	p := NewPool(4, 0)
 	defer p.Close()
-	opts := &ExecOpts{Workers: 4, TileRows: 8, Pool: p}
+	opts := &ExecOpts{TileRows: 8, Pool: p}
 	b := fullDomainBox(&u.Function)
 	k.Run(0, b, syms, opts) // warm: grows scratch, fills state
 	step := 1

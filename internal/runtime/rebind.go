@@ -37,6 +37,6 @@ func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
 	}
 	// A private dispatch state keeps the copy concurrency-safe against the
 	// original (the opcache runs rebound kernels across shots in parallel).
-	nk.st = newRunState(&nk)
+	nk.sched = NewSched[irScratch](&nk, nk.Fields, nk.slots, nk.outs)
 	return &nk, nil
 }

@@ -137,7 +137,9 @@ func TestTiledAndParallelMatchSequential(t *testing.T) {
 
 	kPar, uPar := mk()
 	init(uPar)
-	kPar.Run(0, fullDomainBox(&uPar.Function), symsOf(kPar), &ExecOpts{Workers: 4, TileRows: 2})
+	pool := NewPool(4, 0)
+	defer pool.Close()
+	kPar.Run(0, fullDomainBox(&uPar.Function), symsOf(kPar), &ExecOpts{TileRows: 2, Pool: pool})
 
 	for i := range uSeq.Buf(1).Data {
 		if uSeq.Buf(1).Data[i] != uTile.Buf(1).Data[i] {
