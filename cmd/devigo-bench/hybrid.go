@@ -213,15 +213,20 @@ func runHybrid(size, nt int, outDir string) error {
 // measurePoolDispatchAllocs times nothing — it counts heap allocations
 // across many dispatches on a warmed 4-worker team (all goroutines
 // included: a parked worker that allocated on wake would show up here).
+// The GC runs before the warm-up, not after it: a GC empties the Go
+// runtime's central sudog cache that condvar waits draw from, and the
+// first waits after it (and any OS thread the runtime starts on a wake)
+// allocate once. Warming after the GC keeps those one-off runtime
+// allocations out of the window.
 func measurePoolDispatchAllocs() float64 {
 	const ntiles, rounds = 64, 200
 	p := devruntime.NewPool(4, 0)
 	defer p.Close()
 	task := &hybridTask{hits: make([]int64, ntiles)}
+	goruntime.GC()
 	for i := 0; i < 16; i++ {
 		p.Run(task, ntiles, i, i%2 == 0, nil)
 	}
-	goruntime.GC()
 	var m0, m1 goruntime.MemStats
 	goruntime.ReadMemStats(&m0)
 	for i := 0; i < rounds; i++ {

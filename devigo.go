@@ -20,18 +20,26 @@
 //
 // # Execution engines
 //
-// Operators execute through one of two engines. The default is the
-// bytecode engine (internal/bytecode): each loop nest compiles to flat
-// register bytecode run by a row-sweep VM — one instruction dispatch
-// processes a whole inner-dimension row, duplicate stencil reads load
-// once, and loop-invariant scalars (including 1/dt-style reciprocals)
-// are folded at compile time or evaluated once per Apply. The reference
-// expression-tree interpreter (internal/runtime) remains available by
-// setting DEVIGO_ENGINE=interpreter in the environment — the selector
-// for users of this package; code inside this module can also set
-// core.Options.Engine directly. Both engines are bit-exact: they
-// produce identical float32 fields for identical inputs, serially and
-// under any DMP mode, so switching engines never changes results.
+// Operators execute through one of three bit-exact engines, selected by
+// DEVIGO_ENGINE=bytecode|interpreter|native in the environment (code
+// inside this module can also set core.Options.Engine). Each exists for
+// a reason:
+//
+//   - bytecode (the default): each loop nest compiles to flat register
+//     bytecode — duplicate stencil reads load once, and loop-invariant
+//     scalars (including 1/dt-style reciprocals) are folded at compile
+//     time or evaluated once per Apply — and runs unfused, one
+//     instruction dispatch per whole inner-dimension row. It is the
+//     reference the native engine's fused chains are compared against.
+//   - native: the same compiled program lowered to fused bulk-row SIMD
+//     chains; the production executor, several times faster. Both
+//     bytecode forms run on the one executor of internal/native.
+//   - interpreter: a per-point stack machine with its own compiler
+//     (internal/runtime), kept as the independent oracle.
+//
+// All three produce identical float32 fields for identical inputs,
+// serially and under any DMP mode, so switching engines never changes
+// results.
 package devigo
 
 import (

@@ -1,10 +1,15 @@
 // Package bytecode is the kernel-compilation subsystem of devigo: it
 // lowers the per-point expressions of a loop nest (CSE temporaries plus
-// update equations) into flat, register-based bytecode executed by a tight
-// switch-dispatch virtual machine.
+// update equations) into a flat, register-based row program, and provides
+// the switch-dispatch virtual machine that sweeps it over one row (Sweep)
+// and the segment extraction that re-lowers it into fused chains.
 //
-// It replaces the per-point expression-tree interpreter of package runtime
-// on the hot path. Three properties drive the design:
+// A compiled Kernel is a program only. Package native is its one
+// executor: the bytecode engine runs the whole program as a single VM
+// segment, the native engine runs the extracted chains, and both go
+// through the shared tile scheduler of package runtime. The bytecode
+// engine is the unfused reference the native chains are checked against.
+// Three properties drive the design:
 //
 //   - Register bytecode, not a stack machine. Every instruction names its
 //     operand registers, so the VM never shuffles a stack and duplicate
@@ -34,7 +39,6 @@ package bytecode
 import (
 	"fmt"
 
-	"devigo/internal/field"
 	"devigo/internal/runtime"
 )
 
@@ -75,15 +79,12 @@ type scalarInstr struct {
 	dst, a, b int32
 }
 
-// Kernel is a compiled loop nest: flat bytecode plus the resolved storage
-// it executes against. It is the bytecode engine's counterpart of
-// runtime.Kernel and satisfies the same execution contract.
+// Kernel is a compiled loop nest: the flat row program, its scalar pool
+// and prelude, and the storage binding its loads and stores index. It is
+// a program only; package native executes it.
 type Kernel struct {
-	Fields []*field.Function
-	names  []string
-	slots  []runtime.Slot
-	// outs[i] is where equation i's store lands.
-	outs []runtime.Out
+	// Binding is the storage the program was compiled against.
+	Binding runtime.Binding
 
 	// prog is the flat row program: temporary assignments, then each
 	// equation's expression followed by its store, in source order.
@@ -102,11 +103,6 @@ type Kernel struct {
 
 	numRegs int
 	flops   int
-
-	// sched is the kernel's private scheduler state (storage tables,
-	// per-worker scratch). Allocated at compile time and replaced on
-	// Rebind, never shared between kernel copies.
-	sched *runtime.Sched[bcScratch]
 }
 
 // BindSyms builds the execution-time scalar pool from a name->value map:
@@ -142,23 +138,8 @@ func (k *Kernel) FlopsPerPoint() int { return k.flops }
 // StencilRadius returns the per-dimension stencil radius.
 func (k *Kernel) StencilRadius() []int { return k.Radius }
 
-// NumRegisters reports the size of the row-register file (for tests and
-// the compilation report).
+// NumRegisters reports the size of the row-register file.
 func (k *Kernel) NumRegisters() int { return k.numRegs }
-
-// ProgramLen reports the instruction count of the row program.
-func (k *Kernel) ProgramLen() int { return len(k.prog) }
-
-// PoolSize reports the scalar-pool length (consts + syms + derived).
-func (k *Kernel) PoolSize() int { return len(k.pool) }
-
-// InstrsPerPoint reports the number of VM instructions executed per grid
-// point: the row program's length (each row instruction performs its
-// operation once per point of the row; the bind-time scalar prelude is
-// excluded because it runs once per Apply, not per point). The autotuner's
-// cost model scales this by a per-instruction latency to predict compute
-// time.
-func (k *Kernel) InstrsPerPoint() int { return k.ProgramLen() }
 
 // ipow mirrors the interpreter's integer power helper exactly: repeated
 // multiplication starting from 1, with a final reciprocal for negative

@@ -1,20 +1,25 @@
-package bytecode
+package bytecode_test
 
 import (
 	"math"
 	"testing"
 
+	"devigo/internal/bytecode"
 	"devigo/internal/field"
 	"devigo/internal/grid"
 	"devigo/internal/ir"
+	"devigo/internal/native"
 	"devigo/internal/runtime"
 	"devigo/internal/symbolic"
 )
 
+// The run-level tests execute compiled programs the way the bytecode
+// engine does: native.WrapVM runs the whole program as one VM segment.
+
 // buildDiffusion lowers the Listing-1 diffusion update over a grid and
 // returns both engines' kernels compiled from the same cluster, plus two
 // identically-initialised fields (one per engine).
-func buildDiffusion(t *testing.T, g *grid.Grid, so int) (*Kernel, *runtime.Kernel, *field.TimeFunction, *field.TimeFunction) {
+func buildDiffusion(t *testing.T, g *grid.Grid, so int) (*native.Kernel, *runtime.Kernel, *field.TimeFunction, *field.TimeFunction) {
 	t.Helper()
 	mk := func(name string) *field.TimeFunction {
 		u, err := field.NewTimeFunction(name, g, so, 1, nil)
@@ -33,7 +38,7 @@ func buildDiffusion(t *testing.T, g *grid.Grid, so int) (*Kernel, *runtime.Kerne
 	if err != nil {
 		t.Fatal(err)
 	}
-	kB, err := CompileCluster(clusters[0], map[string]*field.Function{"u": &uB.Function})
+	kB, err := bytecode.CompileCluster(clusters[0], map[string]*field.Function{"u": &uB.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func buildDiffusion(t *testing.T, g *grid.Grid, so int) (*Kernel, *runtime.Kerne
 	if err != nil {
 		t.Fatal(err)
 	}
-	return kB, kI, uB, uI
+	return native.WrapVM(kB), kI, uB, uI
 }
 
 func patternInit(fs ...*field.TimeFunction) {
@@ -151,11 +156,12 @@ func TestBitExactNestWithTempsAndPow(t *testing.T) {
 	eqs := []symbolic.Eq{{LHS: symbolic.ForwardStencil(ref), RHS: rhs}}
 	radius := []int{1, 1}
 
-	kB, err := CompileNest([]symbolic.Assignment{r0}, eqs, radius,
+	bk, err := bytecode.CompileNest([]symbolic.Assignment{r0}, eqs, radius,
 		map[string]*field.Function{"u": &uB.Function, "m": mB})
 	if err != nil {
 		t.Fatal(err)
 	}
+	kB := native.WrapVM(bk)
 	kI, err := runtime.CompileNest([]symbolic.Assignment{r0}, eqs, radius,
 		map[string]*field.Function{"u": &uI.Function, "m": mI})
 	if err != nil {
@@ -195,10 +201,11 @@ func TestMultiEquationRowOrdering(t *testing.T) {
 	if len(clusters) != 1 {
 		t.Fatalf("expected fusion, got %d clusters", len(clusters))
 	}
-	k, err := CompileCluster(clusters[0], map[string]*field.Function{"a": &a.Function, "b": &bf.Function})
+	bk, err := bytecode.CompileCluster(clusters[0], map[string]*field.Function{"a": &a.Function, "b": &bf.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := native.WrapVM(bk)
 	pool, _ := k.BindSyms(nil)
 	k.Run(0, domainBox(&a.Function), pool, nil)
 	if got := bf.AtDomain(1, 3); got != 2 {
@@ -270,14 +277,14 @@ func TestLoadDeduplication(t *testing.T) {
 		symbolic.NewMul(symbolic.At(u.Ref), symbolic.At(u.Ref)),
 		symbolic.At(u.Ref),
 	)
-	k, err := CompileNest(nil, []symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: rhs}},
+	k, err := bytecode.CompileNest(nil, []symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: rhs}},
 		[]int{0, 0}, map[string]*field.Function{"u": &u.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := 0
-	for _, in := range k.prog {
-		if in.Op == opLoad {
+	for _, in := range k.Program() {
+		if in.Op == bytecode.OpLoad {
 			loads++
 		}
 	}
@@ -299,13 +306,13 @@ func TestConstantFoldingAndStrengthReduction(t *testing.T) {
 		symbolic.Pow{Base: symbolic.S("dt"), Exp: -1},
 		symbolic.At(u.Ref),
 	)
-	k, err := CompileNest(nil, []symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: rhs}},
+	k, err := bytecode.CompileNest(nil, []symbolic.Eq{{LHS: symbolic.ForwardStencil(u.Ref), RHS: rhs}},
 		[]int{0}, map[string]*field.Function{"u": &u.Function})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range k.prog {
-		if in.Op == opPowV {
+	for _, in := range k.Program() {
+		if in.Op == bytecode.OpPowV {
 			t.Error("scalar power must be strength-reduced to a bind-time reciprocal")
 		}
 	}
@@ -314,12 +321,12 @@ func TestConstantFoldingAndStrengthReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	u.SetDomain(0, 2, 4)
-	k.Run(0, domainBox(&u.Function), pool, nil)
+	native.WrapVM(k).Run(0, domainBox(&u.Function), pool, nil)
 	// 6 * (1/4) * 2 = 3.
 	if got := u.AtDomain(1, 4); got != 3 {
 		t.Errorf("folded kernel computed %v, want 3", got)
 	}
-	if got := math.Float64bits(pool[k.symSlots[0]]); got != math.Float64bits(4) {
+	if got := math.Float64bits(pool[bytecode.SymSlot(k, 0)]); got != math.Float64bits(4) {
 		t.Errorf("dt slot = %x", got)
 	}
 }

@@ -25,11 +25,9 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	k := &Kernel{Radius: append([]int(nil), radius...)}
 	c := &compiler{
 		k:           k,
-		fields:      fields,
-		fieldIdx:    map[string]int{},
+		b:           runtime.NewBinder(fields),
 		symPool:     map[string]int32{},
 		constPool:   map[uint64]int32{},
-		slotIdx:     map[runtime.Slot]int32{},
 		tempReg:     map[string]int32{},
 		scalarCache: map[string]int32{},
 		loadCache:   map[int32]int32{},
@@ -61,11 +59,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	// equation compiles, so center reads of just-written fields observe
 	// the new values exactly as in the per-point interpreter.
 	for _, eq := range eqs {
-		lhs, ok := eq.LHS.(symbolic.Access)
-		if !ok {
-			return nil, fmt.Errorf("bytecode: equation LHS must be a function access, got %s", eq.LHS)
-		}
-		fi, err := c.getField(lhs.Fun.Name)
+		ei, err := c.b.Store(eq.LHS)
 		if err != nil {
 			return nil, err
 		}
@@ -78,28 +72,19 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			c.emit(Instr{Op: opMovS, Rd: reg, B: res.idx})
 			res = opnd{kind: oScratch, idx: reg}
 		}
-		ei := int32(len(k.outs))
-		k.outs = append(k.outs, runtime.Out{Field: fi, TimeOff: lhs.TimeOff})
-		c.emit(Instr{Op: opStore, A: res.idx, B: ei})
+		c.emit(Instr{Op: opStore, A: res.idx, B: int32(ei)})
 		if res.kind == oScratch {
 			c.freeRegs = append(c.freeRegs, res.idx)
 		}
-		c.invalidate(fi)
+		c.invalidate(c.b.Outs[ei].Field)
 		k.flops += symbolic.FlopCount(eq.RHS) + 1
 	}
 
-	// Validate that all fields share the local domain shape; differing
-	// halo widths are fine (strides are resolved at execution time).
-	for i := 1; i < len(k.Fields); i++ {
-		for d := range k.Fields[0].LocalShape {
-			if k.Fields[i].LocalShape[d] != k.Fields[0].LocalShape[d] {
-				return nil, fmt.Errorf("bytecode: fields %s and %s disagree on local shape",
-					k.names[0], k.names[i])
-			}
-		}
+	var err error
+	if k.Binding, err = c.b.Done(); err != nil {
+		return nil, err
 	}
 	k.numRegs = int(c.nextReg)
-	k.sched = runtime.NewSched[bcScratch](k, k.Fields, k.slots, k.outs)
 	return k, nil
 }
 
@@ -118,13 +103,11 @@ const (
 )
 
 type compiler struct {
-	k      *Kernel
-	fields map[string]*field.Function
+	k *Kernel
+	b *runtime.Binder
 
-	fieldIdx  map[string]int
 	symPool   map[string]int32 // scalar symbol -> pool slot
 	constPool map[uint64]int32 // float64 bits -> pool slot
-	slotIdx   map[runtime.Slot]int32
 	tempReg   map[string]int32 // CSE temporary -> pinned register
 	// scalarCache dedups bind-time evaluation of identical scalar
 	// subtrees (canonical string -> pool slot).
@@ -176,28 +159,13 @@ func (c *compiler) releaseExcept(rd int32, os ...opnd) {
 	}
 }
 
-func (c *compiler) getField(name string) (int, error) {
-	if i, ok := c.fieldIdx[name]; ok {
-		return i, nil
-	}
-	f, ok := c.fields[name]
-	if !ok {
-		return 0, fmt.Errorf("bytecode: no storage registered for field %q", name)
-	}
-	i := len(c.k.Fields)
-	c.fieldIdx[name] = i
-	c.k.Fields = append(c.k.Fields, f)
-	c.k.names = append(c.k.names, name)
-	return i, nil
-}
-
 // invalidate evicts cached loads of the field an equation just stored to,
 // regardless of time offset (cyclic time buffers may alias offsets).
 func (c *compiler) invalidate(fieldIdx int) {
-	for si := range c.k.slots {
+	for si := range c.b.Slots {
 		si32 := int32(si)
 		reg, cached := c.loadCache[si32]
-		if !cached || c.k.slots[si].Field != fieldIdx {
+		if !cached || c.b.Slots[si].Field != fieldIdx {
 			continue
 		}
 		delete(c.loadCache, si32)
@@ -384,21 +352,11 @@ func (c *compiler) compileVec(e symbolic.Expr) (opnd, error) {
 // load resolves a field access to a slot and returns the register caching
 // its row, emitting the load only on first use.
 func (c *compiler) load(a symbolic.Access) (opnd, error) {
-	fi, err := c.getField(a.Fun.Name)
+	slot, err := c.b.Load(a)
 	if err != nil {
 		return opnd{}, err
 	}
-	if len(a.Off) > runtime.MaxDims {
-		return opnd{}, fmt.Errorf("bytecode: access %s exceeds %d dimensions", a, runtime.MaxDims)
-	}
-	s := runtime.Slot{Field: fi, TimeOff: a.TimeOff}
-	copy(s.Off[:], a.Off)
-	si, ok := c.slotIdx[s]
-	if !ok {
-		si = int32(len(c.k.slots))
-		c.slotIdx[s] = si
-		c.k.slots = append(c.k.slots, s)
-	}
+	si := int32(slot)
 	if reg, cached := c.loadCache[si]; cached {
 		return opnd{kind: oPinned, idx: reg}, nil
 	}

@@ -3,12 +3,12 @@ package bytecode
 // This file is the engine-introspection surface of the bytecode compiler:
 // an exported, read-only view of the compiled row program plus the
 // opcode-run extraction the native engine builds its specialized bulk-row
-// kernels from. The bytecode VM itself never consults runs — it dispatches
-// per instruction — but extracting the runs here, from the same program
-// both engines execute, is what keeps the two backends bit-exact: the
-// native engine lowers the *identical* operation sequence, and the
-// conformance tests assert that every opcode and every run shape stays
-// covered by real scenario kernels.
+// kernels from. The bytecode engine never consults runs — it sweeps the
+// whole program as one VM segment — but extracting the runs here, from
+// the same program both engines execute, is what keeps the two forms
+// bit-exact: the fused chains lower the *identical* operation sequence,
+// and the conformance tests assert that every opcode and every run shape
+// stays covered by real scenario kernels.
 
 import "devigo/internal/runtime"
 
@@ -62,15 +62,6 @@ func OpName(op byte) string {
 // Program returns the compiled row program. The slice is the kernel's
 // own and must not be modified.
 func (k *Kernel) Program() []Instr { return k.prog }
-
-// Slots returns the program's load-slot table (read-only).
-func (k *Kernel) Slots() []runtime.Slot { return k.slots }
-
-// Outs returns the program's equation-output table (read-only).
-func (k *Kernel) Outs() []runtime.Out { return k.outs }
-
-// FieldNames returns the kernel's bound field names in field-index order.
-func (k *Kernel) FieldNames() []string { return k.names }
 
 // ---------------------------------------------------------------------------
 // Opcode-run extraction: partitioning the row program into fused chains.
@@ -946,5 +937,5 @@ func Ipow(v float64, e int) float64 { return ipow(v, e) }
 
 // Segments extracts the kernel's own fused-segment partition.
 func (k *Kernel) Segments() []Segment {
-	return ExtractSegments(k.prog, k.slots, k.outs)
+	return ExtractSegments(k.prog, k.Binding.Slots, k.Binding.Outs)
 }

@@ -2,42 +2,9 @@ package bytecode
 
 import "devigo/internal/runtime"
 
-// bcScratch is one worker's register file, grown monotonically when a
-// Retarget lengthens rows, plus the Run's bound scalar pool.
-type bcScratch struct {
-	regs   []float64
-	stride int
-	pool   []float64
-}
-
-// Prep implements runtime.Body: size the register file for rows of up to
-// maxRow points and bind the Run's scalar pool.
-func (k *Kernel) Prep(sc *bcScratch, pool []float64, maxRow int) {
-	if n := k.numRegs * maxRow; len(sc.regs) < n {
-		sc.regs = make([]float64, n)
-	}
-	sc.stride = maxRow
-	sc.pool = pool
-}
-
-// Row implements runtime.Body: one sweep of the whole program.
-func (k *Kernel) Row(sc *bcScratch, bases []int, n int) {
-	Sweep(k.prog, &k.sched.Tables, sc.regs, sc.stride, n, bases, sc.pool)
-}
-
-// Run executes the compiled program at every point of the box for logical
-// timestep t, with the scalar pool from BindSyms. It preserves the
-// interpreter's execution contract exactly — row-major point order,
-// equations in program order at each point, the shared tile scheduler —
-// so all halo-exchange modes run unchanged on either engine, and results
-// are bit-identical for every worker count.
-func (k *Kernel) Run(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts) {
-	k.sched.Run(t, b, pool, opts)
-}
-
-// Sweep executes prog once over one row of n points: the bytecode
-// engine's whole row body, and the native engine's body for its VM
-// fallback segments. regs is the register file with row pitch stride
+// Sweep executes prog once over one row of n points: the row body of
+// every VM segment the native executor runs, and so the bytecode engine's
+// whole row. regs is the register file with row pitch stride
 // (>= n); tb carries the Run's storage tables; bases[f] is field f's
 // buffer index of the row's first point; pool is the bound scalar pool.
 func Sweep(prog []Instr, tb *runtime.Tables, regs []float64, stride, n int, bases []int, pool []float64) {

@@ -303,12 +303,6 @@ func (op *Operator) autotune(policy string, step func(int), next *int, remaining
 			})
 		}
 	}
-	if os.Getenv("DEVIGO_TUNE_DEBUG") != "" && (op.ctx == nil || op.ctx.Comm.Rank() == 0) {
-		for _, tr := range trialLog {
-			fmt.Fprintf(os.Stderr, "devigo-tune: trial %s = %.6fs/step\n", tr.Config, tr.Seconds)
-		}
-		fmt.Fprintf(os.Stderr, "devigo-tune: chose %s\n", cfg)
-	}
 	if err := op.adopt(cfg); err != nil {
 		return err
 	}

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"sort"
 
-	"devigo/internal/bytecode"
 	"devigo/internal/field"
 	"devigo/internal/grid"
 	"devigo/internal/ir"
-	"devigo/internal/native"
 	"devigo/internal/obs"
 	"devigo/internal/opcache"
 	"devigo/internal/perfmodel"
@@ -124,7 +122,7 @@ func storeSchedule(cache *opcache.Cache, key string, sched *ir.Schedule, hasScra
 // operators racing on a cold key block on one in-flight compilation
 // instead of duplicating it. The obs compile/hit/miss counters record
 // which path ran.
-func (op *Operator) compileKernels(engine string, compileAll func() ([]ExecKernel, error)) ([]ExecKernel, error) {
+func (op *Operator) compileKernels(engine string, compileAll func() ([]runtime.ExecKernel, error)) ([]runtime.ExecKernel, error) {
 	rank := op.obsRank()
 	if op.cache == nil {
 		obs.Add(rank, obs.CtrOpCompiles, 1)
@@ -137,7 +135,7 @@ func (op *Operator) compileKernels(engine string, compileAll func() ([]ExecKerne
 	if err != nil {
 		return nil, err
 	}
-	cached, ok := v.([]ExecKernel)
+	cached, ok := v.([]runtime.ExecKernel)
 	if !ok {
 		return nil, fmt.Errorf("core: %s: operator cache holds %T under kernels key (corrupt entry)", op.Name, v)
 	}
@@ -146,29 +144,10 @@ func (op *Operator) compileKernels(engine string, compileAll func() ([]ExecKerne
 		return cached, nil
 	}
 	obs.Add(rank, obs.CtrOpCacheHits, 1)
-	rebound := make([]ExecKernel, len(cached))
+	rebound := make([]runtime.ExecKernel, len(cached))
 	for i, k := range cached {
-		switch t := k.(type) {
-		case *bytecode.Kernel:
-			rk, err := t.Rebind(op.Fields)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", op.Name, err)
-			}
-			rebound[i] = rk
-		case *runtime.Kernel:
-			rk, err := t.Rebind(op.Fields)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", op.Name, err)
-			}
-			rebound[i] = rk
-		case *native.Kernel:
-			rk, err := t.Rebind(op.Fields)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", op.Name, err)
-			}
-			rebound[i] = rk
-		default:
-			return nil, fmt.Errorf("core: %s: cannot rebind cached kernel of type %T", op.Name, k)
+		if rebound[i], err = k.Rebind(op.Fields); err != nil {
+			return nil, fmt.Errorf("core: %s: rebind cached kernel: %w", op.Name, err)
 		}
 	}
 	return rebound, nil

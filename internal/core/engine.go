@@ -12,38 +12,26 @@ import (
 	"devigo/internal/symbolic"
 )
 
-// Execution engines. The bytecode register VM is the default; the
-// expression-tree interpreter remains as the reference implementation and
-// escape hatch; the native engine re-lowers the bytecode program into
-// fused bulk-row chains for peak per-rank throughput. All three produce
-// bit-identical results — the differential and fuzz tests enforce it — so
-// the choice is purely a performance/debugging one.
+// Execution engines. Each exists for a reason; all three produce
+// bit-identical results, which the differential and fuzz tests enforce.
+// The bytecode and native engines share one compiler (package bytecode)
+// and one executor (package native); the interpreter shares only the
+// storage binding and tile scheduler of package runtime.
 const (
-	// EngineBytecode compiles each cluster to flat register bytecode run
-	// by a row-sweep VM (package bytecode).
+	// EngineBytecode runs the compiled register program unfused, one VM
+	// sweep per row: the default engine, and the reference the native
+	// engine's fused chains are compared against.
 	EngineBytecode = "bytecode"
-	// EngineInterpreter walks a per-point stack program (package runtime).
+	// EngineInterpreter walks a per-point stack program from its own
+	// compiler (package runtime): the independent oracle.
 	EngineInterpreter = "interpreter"
-	// EngineNative executes fused opcode runs with specialized
-	// bounds-check-hoisted inner loops (package native).
+	// EngineNative runs the same program lowered to fused bulk-row SIMD
+	// chains (package native): the production executor.
 	EngineNative = "native"
 )
 
 // EngineEnvVar overrides the default engine when Options.Engine is unset.
 const EngineEnvVar = "DEVIGO_ENGINE"
-
-// ExecKernel is the per-cluster execution contract every engine satisfies.
-// Run's scalar vector is whatever the same kernel's BindSyms produced
-// (the interpreter's symbol bindings, the bytecode/native engines' scalar
-// pool). Exported so the cross-engine conformance tests can inspect an
-// operator's compiled kernels.
-type ExecKernel interface {
-	Run(t int, b runtime.Box, syms []float64, opts *runtime.ExecOpts)
-	BindSyms(vals map[string]float64) ([]float64, error)
-	FlopsPerPoint() int
-	InstrsPerPoint() int
-	StencilRadius() []int
-}
 
 // EngineNames lists the canonical engine names accepted by
 // Options.Engine and $DEVIGO_ENGINE ("vm" and "interp" are aliases).
@@ -77,13 +65,16 @@ func resolveEngine(requested string) (string, error) {
 
 // compileStep compiles one optimized loop nest with the selected engine.
 func compileStep(engine string, assigns []symbolic.Assignment, eqs []symbolic.Eq,
-	radius []int, fields map[string]*field.Function) (ExecKernel, error) {
-	switch engine {
-	case EngineInterpreter:
+	radius []int, fields map[string]*field.Function) (runtime.ExecKernel, error) {
+	if engine == EngineInterpreter {
 		return runtime.CompileNest(assigns, eqs, radius, fields)
-	case EngineNative:
-		return native.CompileNest(assigns, eqs, radius, fields)
-	default:
-		return bytecode.CompileNest(assigns, eqs, radius, fields)
 	}
+	bk, err := bytecode.CompileNest(assigns, eqs, radius, fields)
+	if err != nil {
+		return nil, err
+	}
+	if engine == EngineNative {
+		return native.Wrap(bk), nil
+	}
+	return native.WrapVM(bk), nil
 }

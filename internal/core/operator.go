@@ -47,7 +47,7 @@ type Operator struct {
 	CCode    string
 
 	ctx        *Context
-	kernels    []ExecKernel
+	kernels    []runtime.ExecKernel
 	exchangers map[string]halo.Exchanger
 	// tileExchangers holds one exchanger per tile-start (field, timeOff)
 	// requirement. Distinct streams per requirement are essential under
@@ -138,7 +138,7 @@ type Perf struct {
 	TuneSteps  int
 	TunePoints int64
 	// Engine names the execution engine the kernels compiled to
-	// (EngineBytecode or EngineInterpreter).
+	// (EngineBytecode, EngineInterpreter or EngineNative).
 	Engine string
 }
 
@@ -172,9 +172,9 @@ type Options struct {
 	Workers int
 	// TileRows controls progress granularity for overlap mode.
 	TileRows int
-	// Engine selects the execution engine: EngineBytecode (default) or
-	// EngineInterpreter. The DEVIGO_ENGINE environment variable applies
-	// when unset.
+	// Engine selects the execution engine: EngineBytecode (default),
+	// EngineInterpreter or EngineNative. The DEVIGO_ENGINE environment
+	// variable applies when unset.
 	Engine string
 	// TimeTile is the requested halo-exchange interval k: ghost regions
 	// are exchanged k·radius deep once every k timesteps and the shrinking
@@ -217,7 +217,7 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 	if err != nil {
 		return nil, err
 	}
-	workersReq, err := resolveWorkers(requestedWorkers)
+	workersReq, err := ResolveWorkers(requestedWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -368,8 +368,8 @@ func NewOperator(eqs []symbolic.Eq, fields map[string]*field.Function, g *grid.G
 			op.invariants = append(op.invariants, symbolic.Assignment{Name: sa.Name, Value: sa.Value})
 		}
 	}
-	compileAll := func() ([]ExecKernel, error) {
-		ks := make([]ExecKernel, 0, len(sched.Steps))
+	compileAll := func() ([]runtime.ExecKernel, error) {
+		ks := make([]runtime.ExecKernel, 0, len(sched.Steps))
 		for i, st := range sched.Steps {
 			k, err := compileStep(engine, nests[i].Assigns, nests[i].Exprs, st.Cluster.Radius, fields)
 			if err != nil {
@@ -798,7 +798,7 @@ func (op *Operator) applyOverlap(si int, st ir.Step, t int, syms []float64, loca
 // deep overlap: post the exchanges, compute the CORE box with progress
 // prods between tiles, complete the exchanges, then sweep the remainder
 // of the outer box.
-func (op *Operator) overlapSweep(k ExecKernel, t int, outer, core runtime.Box, syms []float64, start, progress, finish func()) {
+func (op *Operator) overlapSweep(k runtime.ExecKernel, t int, outer, core runtime.Box, syms []float64, start, progress, finish func()) {
 	rank := op.obsRank()
 	sp := obs.Begin(rank, obs.PhaseExchange, t)
 	hs := time.Now()
@@ -861,7 +861,7 @@ func (op *Operator) Engine() string { return op.perf.Engine }
 // Kernels returns the operator's compiled per-step kernels. The slice is
 // the operator's own — callers (the opcode/run-shape conformance tests)
 // must treat it as read-only.
-func (op *Operator) Kernels() []ExecKernel { return op.kernels }
+func (op *Operator) Kernels() []runtime.ExecKernel { return op.kernels }
 
 // collectNests returns the loop nests of the time-loop body in step order,
 // looking through overlap sections (whose Core and Remainder share one

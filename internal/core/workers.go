@@ -14,13 +14,14 @@ import (
 // overrides an explicit user choice.
 const WorkersEnvVar = "DEVIGO_WORKERS"
 
-// resolveWorkers picks the requested worker count: explicit
+// ResolveWorkers picks the requested worker count: explicit
 // Options.Workers wins, then the DEVIGO_WORKERS environment variable,
 // then 0 (unforced — the operator runs serial until an autotune policy
 // picks a team size). A bad value is a configuration error naming the
 // value, where it came from, and what is accepted — matching
-// resolveEngine's style.
-func resolveWorkers(requested int) (int, error) {
+// resolveEngine's style. RunShots resolves its per-rank compute team
+// through it too, so a bad value fails before any shot runs.
+func ResolveWorkers(requested int) (int, error) {
 	if requested > 0 {
 		return requested, nil
 	}

@@ -11,8 +11,8 @@ import (
 	"devigo/internal/symbolic"
 )
 
-// TestKernelPoolRunAllocFree certifies the bytecode and native kernels'
-// whole dispatch path — table refill, scratch prep, the shared scheduler,
+// TestKernelPoolRunAllocFree certifies both program forms' (single VM
+// segment and fused chains) whole dispatch path — table refill, scratch prep, the shared scheduler,
 // pool Run — allocation-free once warmed, serially and on a 4-worker
 // team.
 func TestKernelPoolRunAllocFree(t *testing.T) {
@@ -32,10 +32,6 @@ func TestKernelPoolRunAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk2, err := bytecode.CompileCluster(clusters[0], fields)
-	if err != nil {
-		t.Fatal(err)
-	}
 	syms, err := bk.BindSyms(map[string]float64{"dt": 0.1, "h_x": 1, "h_y": 1})
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +42,8 @@ func TestKernelPoolRunAllocFree(t *testing.T) {
 		name string
 		run  func(t int, b runtime.Box, pool []float64, opts *runtime.ExecOpts)
 	}{
-		{"bytecode", bk.Run},
-		{"native", Wrap(bk2).Run},
+		{"bytecode", WrapVM(bk).Run},
+		{"native", Wrap(bk).Run},
 	}
 	b := confBox(&u.Function)
 	for _, k := range kernels {

@@ -206,29 +206,22 @@ func TestConformanceOpcodeAndShapeCoverage(t *testing.T) {
 
 	for name, n := range confScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			var kB *bytecode.Kernel
-			var nk *Kernel
-			var err error
-			if n.cluster != nil {
-				kB, err = bytecode.CompileCluster(n.cluster, n.fB)
+			compile := func(fields map[string]*field.Function) *bytecode.Kernel {
+				var bk *bytecode.Kernel
+				var err error
+				if n.cluster != nil {
+					bk, err = bytecode.CompileCluster(n.cluster, fields)
+				} else {
+					bk, err = bytecode.CompileNest(n.assigns, n.eqs, n.radius, fields)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				var bkN *bytecode.Kernel
-				bkN, err = bytecode.CompileCluster(n.cluster, n.fN)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nk = Wrap(bkN)
-			} else {
-				kB, err = bytecode.CompileNest(n.assigns, n.eqs, n.radius, n.fB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nk, err = CompileNest(n.assigns, n.eqs, n.radius, n.fN)
-				if err != nil {
-					t.Fatal(err)
-				}
+				return bk
+			}
+			kB, nk := WrapVM(compile(n.fB)), Wrap(compile(n.fN))
+			if got, want := kB.InstrsPerPoint(), len(kB.Bytecode().Program()); got != want {
+				t.Errorf("single-VM-segment form dispatches %d instrs/point, want the program length %d", got, want)
 			}
 			for _, in := range nk.Bytecode().Program() {
 				opSeen[in.Op] = true

@@ -242,20 +242,21 @@ func (k *Kernel) Prep(sc *natScratch, pool []float64, maxRow int) {
 }
 
 // Row implements runtime.Body: every segment once over one row of n
-// points — fused chains through the patched exec, VM fallback segments
-// through the bytecode engine's row sweep.
+// points — fused chains through the patched exec, VM segments through the
+// bytecode row sweep.
 func (k *Kernel) Row(sc *natScratch, bases []int, n int) {
 	k.patchRow(sc.ex, n, bases)
-	for _, seg := range k.segs {
-		if seg.shape == bytecode.ShapeVM {
-			bytecode.Sweep(seg.vm, &k.sched.Tables, sc.regs, sc.stride, n, bases, sc.pool)
+	for i := range k.segs {
+		seg := &k.segs[i]
+		if seg.Shape == bytecode.ShapeVM {
+			bytecode.Sweep(seg.VM, &k.sched.Tables, sc.regs, sc.stride, n, bases, sc.pool)
 			continue
 		}
 		sc.ex.runChain(sc.ex.links[seg.lkLo:seg.lkHi], n)
 	}
 }
 
-// Run executes the fused program at every point of the box for logical
+// Run executes the program at every point of the box for logical
 // timestep t. It preserves the engine execution contract exactly —
 // row-major point order, equations in program order at each point, the
 // shared tile scheduler — so all halo-exchange modes run unchanged, and

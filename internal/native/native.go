@@ -1,12 +1,17 @@
-// Package native is devigo's third execution engine: specialized Go
-// bulk-row kernels that execute whole opcode *runs* per row instead of
-// dispatching the register VM once per instruction.
+// Package native executes compiled bytecode programs, for two engine
+// names. The native engine, devigo's production executor, runs
+// specialized Go bulk-row kernels that execute whole opcode *runs* per
+// row instead of dispatching the register VM once per instruction. The
+// bytecode engine runs the same program unfused, as one VM segment whose
+// row body is bytecode.Sweep: the reference the fused chains are checked
+// against.
 //
-// The engine reuses the bytecode compiler wholesale — symbolic lowering,
-// load caching, madd fusion, scalar-pool hoisting — and then re-lowers the
-// compiled row program through bytecode.ExtractSegments into fused
-// accumulation chains (see the LinkKind vocabulary in package bytecode).
-// Each chain executes over fixed-width strips of the row (256 points):
+// The native engine reuses the bytecode compiler wholesale — symbolic
+// lowering, load caching, madd fusion, scalar-pool hoisting — and then
+// re-lowers the compiled row program through bytecode.ExtractSegments
+// into fused accumulation chains (see the LinkKind vocabulary in package
+// bytecode). Each chain executes over fixed-width strips of the row (256
+// points):
 // every link dispatches one SIMD primitive over the whole strip — AVX2
 // assembly on amd64, an equivalent pure-Go loop elsewhere — with field
 // operands read through unsafe pointers patched once per row (one bounds
@@ -32,57 +37,51 @@ import (
 	"devigo/internal/bytecode"
 	"devigo/internal/field"
 	"devigo/internal/runtime"
-	"devigo/internal/symbolic"
 )
 
-// Kernel is a compiled loop nest lowered to fused segment programs. It
-// wraps the bytecode kernel it was derived from (sharing its program,
-// scalar pool, slot tables and field bindings) and satisfies the same
-// execution contract (core.ExecKernel).
+// Kernel executes one compiled bytecode program through the shared tile
+// scheduler, as a sequence of segments: fused link chains (Wrap, the
+// native engine) or the whole program as one VM segment (WrapVM, the
+// bytecode engine). It satisfies runtime.ExecKernel.
 type Kernel struct {
+	// bk supplies the program, scalar pool and register count. Its
+	// Binding is the compile-time storage; execution always goes through
+	// sched's, which Rebind replaces.
 	bk   *bytecode.Kernel
 	segs []segment
 	tm   *tmpl
-	// fusedInstrs is the per-point dispatch count after fusion: one per
-	// chain link plus one per fallback VM instruction.
+	// fusedInstrs is the per-point dispatch count: one per chain link
+	// plus one per VM segment instruction.
 	fusedInstrs int
-	// sched is the kernel's private scheduler state (storage tables,
-	// per-worker scratch and cached execs). Allocated at Wrap time and
-	// replaced on Rebind, never shared between kernel copies.
+	// sched is the kernel's private scheduler state (storage binding and
+	// tables, per-worker scratch and cached execs). Allocated at Wrap time
+	// and replaced on Rebind, never shared between kernel copies.
 	sched *runtime.Sched[natScratch]
 }
 
 // segment is one executable region: either a fused link chain or a VM
-// fallback instruction list, in program order.
+// instruction list, in program order, with the chain's link range within
+// the kernel's flat link array.
 type segment struct {
-	shape bytecode.Shape
-	// Link range within the kernel's flat link array (chain shapes).
+	bytecode.Segment
 	lkLo, lkHi int
-	vm         []bytecode.Instr
 }
 
-// CompileNest compiles one optimized loop nest for the native engine: the
-// bytecode compiler produces the row program, and the segment extraction
-// re-lowers it into fused chains.
-func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
-	fields map[string]*field.Function) (*Kernel, error) {
-	bk, err := bytecode.CompileNest(assigns, eqs, radius, fields)
-	if err != nil {
-		return nil, err
-	}
-	return Wrap(bk), nil
+// Wrap lowers a compiled bytecode kernel into fused chain segments (the
+// native engine). The result shares bk's immutable program and tables.
+func Wrap(bk *bytecode.Kernel) *Kernel { return newKernel(bk, bk.Segments()) }
+
+// WrapVM runs a compiled bytecode kernel's whole row program as one VM
+// segment (the bytecode engine): each row is one bytecode.Sweep.
+func WrapVM(bk *bytecode.Kernel) *Kernel {
+	return newKernel(bk, []bytecode.Segment{{Shape: bytecode.ShapeVM, Hi: len(bk.Program()), VM: bk.Program()}})
 }
 
-// Wrap lowers an already-compiled bytecode kernel into a native kernel.
-// The receiver shares the bytecode kernel's immutable tables; Run never
-// mutates them.
-func Wrap(bk *bytecode.Kernel) *Kernel {
-	k := &Kernel{bk: bk}
-	segs := bk.Segments()
-	k.segs = make([]segment, len(segs))
+func newKernel(bk *bytecode.Kernel, segs []bytecode.Segment) *Kernel {
+	k := &Kernel{bk: bk, segs: make([]segment, len(segs))}
 	nlinks := 0
 	for i, s := range segs {
-		k.segs[i] = segment{shape: s.Shape, vm: s.VM}
+		k.segs[i] = segment{Segment: s}
 		if s.Shape != bytecode.ShapeVM {
 			k.segs[i].lkLo = nlinks
 			nlinks += len(s.Links)
@@ -93,7 +92,7 @@ func Wrap(bk *bytecode.Kernel) *Kernel {
 		}
 	}
 	k.buildTemplate(segs)
-	k.sched = runtime.NewSched[natScratch](k, bk.Fields, bk.Slots(), bk.Outs())
+	k.sched = runtime.NewSched[natScratch](k, bk.Binding)
 	return k
 }
 
@@ -101,11 +100,17 @@ func Wrap(bk *bytecode.Kernel) *Kernel {
 // tests, the compilation report and the docs' lowering traces).
 func (k *Kernel) Bytecode() *bytecode.Kernel { return k.bk }
 
-// Segments re-derives the kernel's fused-segment partition.
-func (k *Kernel) Segments() []bytecode.Segment { return k.bk.Segments() }
+// Segments returns the segment partition the kernel executes.
+func (k *Kernel) Segments() []bytecode.Segment {
+	out := make([]bytecode.Segment, len(k.segs))
+	for i, s := range k.segs {
+		out[i] = s.Segment
+	}
+	return out
+}
 
 // BindSyms delegates to the bytecode kernel: the scalar pool layout and
-// the bind-time prelude are shared between the two engines.
+// the bind-time prelude belong to the compiled program.
 func (k *Kernel) BindSyms(vals map[string]float64) ([]float64, error) {
 	return k.bk.BindSyms(vals)
 }
@@ -117,28 +122,25 @@ func (k *Kernel) FlopsPerPoint() int { return k.bk.FlopsPerPoint() }
 // StencilRadius returns the per-dimension stencil radius.
 func (k *Kernel) StencilRadius() []int { return k.bk.StencilRadius() }
 
-// InstrsPerPoint reports the number of fused dispatches per grid point:
-// one per chain link plus one per fallback VM instruction. It is lower
-// than the bytecode kernel's count (loads are absorbed into chain
-// operands), which is how the autotuner's cost model ranks the engine.
+// InstrsPerPoint reports the number of dispatches per grid point: one per
+// chain link plus one per VM segment instruction (the scalar prelude runs
+// once per Apply, not per point, and is excluded). For the fused form it
+// is lower than the program length (loads are absorbed into chain
+// operands), which is how the autotuner's cost model ranks the engines;
+// for the single-VM-segment form it is the program length.
 func (k *Kernel) InstrsPerPoint() int { return k.fusedInstrs }
 
-// Rebind returns a copy of the kernel executing against different storage,
-// resolved by field name. The fused segments, link templates, program and
-// scalar pool are shared with the receiver — like bytecode.Rebind, Run
-// resolves buffer pointers and strides on every call, so the copy is safe
-// to run concurrently with the original. This is the opcache contract:
-// one native compilation is shared across every shot with the same
-// schedule key.
-func (k *Kernel) Rebind(fields map[string]*field.Function) (*Kernel, error) {
-	bk, err := k.bk.Rebind(fields)
+// Rebind returns a copy of the kernel executing against fields, resolved
+// by name (see runtime.Binding.Rebind). Segments, link templates, program
+// and scalar pool are shared with the receiver; the copy gets its own
+// scheduler state, so the two may run concurrently. This is the opcache
+// contract: one compilation serves every shot with the same schedule key.
+func (k *Kernel) Rebind(fields map[string]*field.Function) (runtime.ExecKernel, error) {
+	bind, err := k.sched.Binding.Rebind(fields)
 	if err != nil {
 		return nil, err
 	}
 	nk := *k
-	nk.bk = bk
-	// A private dispatch state keeps the copy concurrency-safe against the
-	// original (the opcache runs rebound kernels across shots in parallel).
-	nk.sched = runtime.NewSched[natScratch](&nk, bk.Fields, bk.Slots(), bk.Outs())
+	nk.sched = runtime.NewSched[natScratch](&nk, bind)
 	return &nk, nil
 }

@@ -1,6 +1,7 @@
 // Package opcache is a content-addressed cache of compiled operator
-// artifacts: bytecode/interpreter kernel programs and autotuned execution
-// configurations, keyed by a canonical hash of the symbolic schedule plus
+// artifacts: compiled kernels of any engine (each rebound to a shot's own
+// storage through the kernel contract's Rebind), lowered schedules and
+// autotuned execution configurations, keyed by a canonical hash of the symbolic schedule plus
 // the grid / decomposition / engine / time-tile configuration (package
 // core exports the key derivation as ScheduleKey).
 //

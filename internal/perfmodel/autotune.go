@@ -13,7 +13,7 @@ import (
 // This file is the runtime autotuner: the paper's "the compiler should
 // pick the MPI-X configuration" claim turned into a subsystem. Package
 // core builds an OpProfile for each compiled operator (instruction counts
-// from the bytecode engine, exchanged streams from the schedule, the
+// from its compiled kernels, exchanged streams from the schedule, the
 // slowest rank's box from the grid decomposition) and either adopts the
 // cost model's top-ranked configuration directly (policy "model") or runs
 // a bounded empirical search over the model's shortlist (policy "search",
@@ -57,8 +57,10 @@ type OpProfile struct {
 	// LocalShape is the slowest rank's owned box (the global shape when
 	// serial) — the per-step critical path is computed on it.
 	LocalShape []int
-	// InstrsPerPoint is the summed per-point VM instruction count of the
-	// operator's compiled kernels (bytecode or interpreter programs).
+	// InstrsPerPoint is the summed per-point dispatch count of the
+	// operator's compiled kernels: interpreter stack instructions, the
+	// bytecode program length, or native's fused chain links plus VM
+	// segment instructions.
 	InstrsPerPoint int
 	// Engine is the execution engine the kernels compiled for ("bytecode",
 	// "interpreter", "native"); it scales the instruction-latency term of

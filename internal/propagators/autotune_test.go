@@ -135,7 +135,7 @@ func dmpMeasure(t *testing.T, shape []int, mode halo.Mode, so, nt int) (float64,
 // cost model's preferred halo mode must be competitive with the measured
 // best on the reduced CI grids. Timing on shared runners is noisy, so the
 // assertion is robust: the model's top mode must either *be* the measured
-// winner or measure within 35% of it (best-of-3 per mode).
+// winner or measure within 35% of it (best-of-5 per mode, interleaved).
 func TestModelOrderingMatchesMeasured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped under -short")
@@ -182,24 +182,24 @@ func TestModelOrderingMatchesMeasured(t *testing.T) {
 		}
 	}
 
-	// The measured ranking (best of 3 per mode), plus the bit-exactness
-	// of results across modes.
+	// The measured ranking (best of 5 per mode), plus the bit-exactness
+	// of results across modes. The rounds interleave the modes (basic,
+	// diag, full, basic, ...) so host drift over the test's run lands on
+	// every mode alike instead of on whichever block it overlaps.
 	measured := map[halo.Mode]float64{}
 	var refNorm float64
-	for i, m := range modes {
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
+	for round := 0; round < 5; round++ {
+		for i, m := range modes {
 			s, norm := dmpMeasure(t, shape, m, so, nt)
-			if rep == 0 || s < best {
-				best = s
+			if best, ok := measured[m]; !ok || s < best {
+				measured[m] = s
 			}
-			if i == 0 && rep == 0 {
+			if round == 0 && i == 0 {
 				refNorm = norm
 			} else if norm != refNorm {
 				t.Fatalf("mode %v norm %v != reference %v (modes must be bit-exact)", m, norm, refNorm)
 			}
 		}
-		measured[m] = best
 	}
 	measuredBest := modes[0]
 	for _, m := range modes[1:] {

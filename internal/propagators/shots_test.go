@@ -1,6 +1,7 @@
 package propagators
 
 import (
+	"strings"
 	"testing"
 
 	"devigo/internal/core"
@@ -339,26 +340,15 @@ func TestRunShotsRaceNative(t *testing.T) {
 	}
 }
 
+// TestResolveComputeWorkers: RunShots resolves the per-rank compute team
+// with core.ResolveWorkers, so a malformed $DEVIGO_WORKERS fails up front
+// with core's configuration error instead of silently running a default.
 func TestResolveComputeWorkers(t *testing.T) {
-	t.Setenv(core.WorkersEnvVar, "")
-	if got := resolveComputeWorkers(3); got != 3 {
-		t.Errorf("explicit compute workers = %d, want 3", got)
-	}
-	if got := resolveComputeWorkers(0); got != 0 {
-		t.Errorf("unset compute workers = %d, want 0 (operator default)", got)
-	}
-	t.Setenv(core.WorkersEnvVar, "5")
-	if got := resolveComputeWorkers(0); got != 5 {
-		t.Errorf("env compute workers = %d, want 5", got)
-	}
-	if got := resolveComputeWorkers(2); got != 2 {
-		t.Errorf("explicit over env = %d, want 2", got)
-	}
-	// Malformed env is ignored here; the operator build rejects it with a
-	// proper configuration error.
 	t.Setenv(core.WorkersEnvVar, "lots")
-	if got := resolveComputeWorkers(0); got != 0 {
-		t.Errorf("bad env compute workers = %d, want 0", got)
+	_, err := RunShots("acoustic", surveyConfig(), ShotsConfig{Shots: surveyShots()})
+	if err == nil || !strings.Contains(err.Error(), core.WorkersEnvVar) || !strings.Contains(err.Error(), `"lots"`) {
+		t.Errorf("RunShots with $%s=lots: want core's error naming the variable and value, got %v",
+			core.WorkersEnvVar, err)
 	}
 }
 

@@ -1,10 +1,26 @@
 package runtime
 
+import "devigo/internal/field"
+
 // stackCap bounds expression depth; TTI kernels stay far below this.
 const stackCap = 256
 
 // tempCap bounds the per-point CSE temporary register file.
 const tempCap = 512
+
+// ExecKernel is the per-cluster execution contract every engine
+// satisfies. Run's scalar vector is whatever the same kernel's BindSyms
+// produced (the interpreter's symbol bindings, the bytecode program's
+// scalar pool). Rebind returns a copy executing against other storage,
+// safe to run concurrently with the receiver.
+type ExecKernel interface {
+	Run(t int, b Box, syms []float64, opts *ExecOpts)
+	BindSyms(vals map[string]float64) ([]float64, error)
+	Rebind(fields map[string]*field.Function) (ExecKernel, error)
+	FlopsPerPoint() int
+	InstrsPerPoint() int
+	StencilRadius() []int
+}
 
 // ExecOpts tunes kernel execution.
 type ExecOpts struct {
@@ -59,13 +75,13 @@ func (k *Kernel) Prep(sc *irScratch, syms []float64, _ int) { sc.syms = syms }
 // Row implements Body: every temporary, then every equation, at each
 // point of the row.
 func (k *Kernel) Row(sc *irScratch, bases []int, n int) {
-	outData := k.sched.OutData
+	tb := &k.sched.Tables
 	for x := 0; x < n; x++ {
 		for ti := range k.Temps {
 			sc.temps[ti] = k.evalEq(sc, &k.Temps[ti], bases, x)
 		}
 		for ei := range k.Eqs {
-			outData[ei][bases[k.outs[ei].Field]+x] = float32(k.evalEq(sc, &k.Eqs[ei], bases, x))
+			tb.OutData[ei][bases[tb.Outs[ei].Field]+x] = float32(k.evalEq(sc, &k.Eqs[ei], bases, x))
 		}
 	}
 }

@@ -1,11 +1,14 @@
 // Package runtime executes compiled stencil kernels: the devigo equivalent
-// of the JIT-compiled C code. It owns the shared-memory tier every engine
-// runs through — the tile scheduler (Sched) over the persistent worker
-// pool (the stand-in for OpenMP threads), with a progress hook between
-// tiles (the stand-in for the MPI_Test prods of the full communication
+// of the JIT-compiled C code. It owns what every engine shares — the
+// kernel contract (ExecKernel), the storage binding (Binding, with
+// Rebind) and the tile scheduler (Sched) over the persistent worker pool
+// (the stand-in for OpenMP threads), with a progress hook between tiles
+// (the stand-in for the MPI_Test prods of the full communication
 // pattern) — and the reference interpreter engine, which compiles
 // clusters to a compact stack-machine program per equation and supplies
-// the scheduler its per-row body.
+// the scheduler its per-row body. The interpreter is the independent
+// oracle: its compiler shares only the storage Binder with the bytecode
+// compiler.
 package runtime
 
 import (
@@ -41,13 +44,9 @@ type CompiledEq struct {
 }
 
 // Kernel is a compiled cluster: every equation of one fused loop nest.
+// Eqs[i] stores to the binding's Outs[i].
 type Kernel struct {
-	Fields []*field.Function
-	names  []string
-	Eqs    []CompiledEq
-	slots  []Slot
-	// outs[i] is where Eqs[i] stores.
-	outs []Out
+	Eqs []CompiledEq
 	// Temps are per-point scalar temporaries (CSE extractions), executed
 	// in order before the equations at every point; temps[i] receives the
 	// result of Temps[i].
@@ -57,9 +56,9 @@ type Kernel struct {
 	SymNames []string
 	// Radius is the stencil radius per dimension (halo requirement).
 	Radius []int
-	// sched is the kernel's private scheduler state (storage tables,
-	// per-worker scratch). Allocated at compile time and replaced on
-	// Rebind, never shared between kernel copies.
+	// sched is the kernel's private scheduler state (storage binding and
+	// tables, per-worker scratch). Allocated at compile time and replaced
+	// on Rebind, never shared between kernel copies.
 	sched *Sched[irScratch]
 }
 
@@ -77,27 +76,11 @@ func CompileCluster(c *ir.Cluster, fields map[string]*field.Function) (*Kernel, 
 func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 	fields map[string]*field.Function) (*Kernel, error) {
 	k := &Kernel{Radius: append([]int(nil), radius...)}
-	fieldIdx := map[string]int{}
+	b := NewBinder(fields)
 	symIdx := map[string]int{}
-	slotIdx := map[Slot]int{}
 	tempIdx := map[string]int{}
 	for i, a := range assigns {
 		tempIdx[a.Name] = i
-	}
-
-	getField := func(name string) (int, error) {
-		if i, ok := fieldIdx[name]; ok {
-			return i, nil
-		}
-		f, ok := fields[name]
-		if !ok {
-			return 0, fmt.Errorf("runtime: no storage registered for field %q", name)
-		}
-		i := len(k.Fields)
-		fieldIdx[name] = i
-		k.Fields = append(k.Fields, f)
-		k.names = append(k.names, name)
-		return i, nil
 	}
 	getSym := func(name string) int {
 		if i, ok := symIdx[name]; ok {
@@ -106,15 +89,6 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		i := len(k.SymNames)
 		symIdx[name] = i
 		k.SymNames = append(k.SymNames, name)
-		return i
-	}
-	getSlot := func(s Slot) int {
-		if i, ok := slotIdx[s]; ok {
-			return i
-		}
-		i := len(k.slots)
-		slotIdx[s] = i
-		k.slots = append(k.slots, s)
 		return i
 	}
 
@@ -138,16 +112,11 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			}
 			bump(depth + 1)
 		case symbolic.Access:
-			fi, err := getField(v.Fun.Name)
+			si, err := b.Load(v)
 			if err != nil {
 				return err
 			}
-			if len(v.Off) > MaxDims {
-				return fmt.Errorf("runtime: access %s exceeds %d dimensions", v, MaxDims)
-			}
-			s := Slot{Field: fi, TimeOff: v.TimeOff}
-			copy(s.Off[:], v.Off)
-			*prog = append(*prog, instr{op: opLoad, a: getSlot(s)})
+			*prog = append(*prog, instr{op: opLoad, a: si})
 			bump(depth + 1)
 		case symbolic.Add:
 			// Binary accumulation keeps the stack depth proportional to
@@ -205,9 +174,7 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 		return nil, fmt.Errorf("runtime: too many per-point temporaries (%d > %d)", len(k.Temps), tempCap)
 	}
 	for _, eq := range eqs {
-		lhs := eq.LHS.(symbolic.Access)
-		fi, err := getField(lhs.Fun.Name)
-		if err != nil {
+		if _, err := b.Store(eq.LHS); err != nil {
 			return nil, err
 		}
 		ce := CompiledEq{flops: symbolic.FlopCount(eq.RHS)}
@@ -218,24 +185,30 @@ func CompileNest(assigns []symbolic.Assignment, eqs []symbolic.Eq, radius []int,
 			return nil, fmt.Errorf("runtime: expression too deep (stack %d > %d)", ce.maxStack, stackCap)
 		}
 		k.Eqs = append(k.Eqs, ce)
-		k.outs = append(k.outs, Out{Field: fi, TimeOff: lhs.TimeOff})
 	}
-	// Validate that all fields share the local domain shape; differing halo
-	// widths are fine (strides are resolved at execution time).
-	for i := 1; i < len(k.Fields); i++ {
-		for d := range k.Fields[0].LocalShape {
-			if k.Fields[i].LocalShape[d] != k.Fields[0].LocalShape[d] {
-				return nil, fmt.Errorf("runtime: fields %s and %s disagree on local shape",
-					k.names[0], k.names[i])
-			}
-		}
+	bind, err := b.Done()
+	if err != nil {
+		return nil, err
 	}
-	k.sched = NewSched[irScratch](k, k.Fields, k.slots, k.outs)
+	k.sched = NewSched[irScratch](k, bind)
 	return k, nil
 }
 
-// StencilRadius returns the per-dimension stencil radius (the execution
-// contract shared with the bytecode engine).
+// Rebind returns a copy of the kernel executing against fields, resolved
+// by name (see Binding.Rebind). The compiled programs are shared with the
+// receiver; the copy gets its own scheduler state, so the two may run
+// concurrently.
+func (k *Kernel) Rebind(fields map[string]*field.Function) (ExecKernel, error) {
+	bind, err := k.sched.Binding.Rebind(fields)
+	if err != nil {
+		return nil, err
+	}
+	nk := *k
+	nk.sched = NewSched[irScratch](&nk, bind)
+	return &nk, nil
+}
+
+// StencilRadius returns the per-dimension stencil radius.
 func (k *Kernel) StencilRadius() []int { return k.Radius }
 
 // FlopsPerPoint reports the per-point flop cost of the compiled kernel.

@@ -1,7 +1,5 @@
 package runtime
 
-import "devigo/internal/field"
-
 // MaxDims bounds the spatial dimensionality of compiled kernels (the
 // compiler's dimension names are x, y, z).
 const MaxDims = 3
@@ -24,15 +22,13 @@ type Out struct {
 	TimeOff int
 }
 
-// Tables is the storage a row body reads and writes: the kernel's bound
-// fields and its immutable slot and output tables, plus the per-Run data
-// slices and flat stencil displacements. The scheduler refills the
-// per-Run half single-threaded before every dispatch (buffer rotation
-// changes the t-dependent data pointers per step); workers only read it.
+// Tables is the storage a row body reads and writes: the kernel's
+// Binding plus the per-Run data slices and flat stencil displacements.
+// The scheduler refills the per-Run half single-threaded before every
+// dispatch (buffer rotation changes the t-dependent data pointers per
+// step); workers only read it.
 type Tables struct {
-	Fields []*field.Function
-	Slots  []Slot
-	Outs   []Out
+	Binding
 	// SlotData[i] is the buffer slot i reads this Run and SlotOff[i] its
 	// flat stencil displacement against the field's current strides.
 	SlotData [][]float32
@@ -102,16 +98,14 @@ type Sched[S any] struct {
 }
 
 // NewSched builds the scheduler state of one kernel copy: body executes
-// its rows against fields through the given slot and output tables.
-func NewSched[S any](body Body[S], fields []*field.Function, slots []Slot, outs []Out) *Sched[S] {
+// its rows against the storage of binding b.
+func NewSched[S any](body Body[S], b Binding) *Sched[S] {
 	return &Sched[S]{
 		Tables: Tables{
-			Fields:   fields,
-			Slots:    slots,
-			Outs:     outs,
-			SlotData: make([][]float32, len(slots)),
-			SlotOff:  make([]int, len(slots)),
-			OutData:  make([][]float32, len(outs)),
+			Binding:  b,
+			SlotData: make([][]float32, len(b.Slots)),
+			SlotOff:  make([]int, len(b.Slots)),
+			OutData:  make([][]float32, len(b.Outs)),
 		},
 		body: body,
 	}

@@ -159,7 +159,7 @@ func TestSchedVisitsEveryPointOnce(t *testing.T) {
 func checkSched(t *testing.T, name string, fields []*field.Function, box Box, run func(*Sched[recScratch])) {
 	t.Helper()
 	rb := &recBody{fields: fields, box: box, visits: make([]atomic.Int32, box.Size())}
-	run(NewSched[recScratch](rb, fields, nil, nil))
+	run(NewSched[recScratch](rb, Binding{Fields: fields}))
 	for _, e := range rb.errs {
 		t.Errorf("%s: %s", name, e)
 	}
